@@ -52,6 +52,20 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -276,13 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("invert", cmd_invert, "search for a preimage of the instance's W")
     p.add_argument("instance", help="instance JSON file holding V and W")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=_non_negative_int, default=10**6)
 
     p = add("injectivity", cmd_injectivity, "empirical injectivity probability per delta")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--deltas", required=True, help="comma-separated list")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -295,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph2")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--seed", type=int, default=None, help="accepted for uniformity; search is deterministic")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=_non_negative_int, default=10**6)
 
     p = add("hsp-check", cmd_hsp_check, "verify the hidden-subgroup promise exhaustively")
     p.add_argument("--q", type=int, required=True)
@@ -315,18 +329,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=_non_negative_int, default=10**6)
     p.add_argument("--seed", type=int, required=True)
 
     p = add("perm-stats", cmd_perm_stats, "transposition-count polynomial coefficients")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_non_negative_int, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = add("ig-stats", cmd_ig_stats, "signature-preserving shuffle experiment")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
 

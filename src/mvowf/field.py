@@ -3,14 +3,23 @@
 Vectors are tuples of ints in [0, q), matrices are tuples of row tuples.
 Everything is immutable and hashable; tuple comparison gives the
 lexicographic order (index 0 most significant) used for canonical images.
-For q = 2 the elimination-bound routines switch to int-packed bitset rows
-(XOR row ops, popcount inner products).
+
+Matrix-vector products have one kernel, `mat_vecs`, which does the
+per-matrix work once for a whole batch of vectors.  For q = 2 each row of M
+is an int whose bit j is column j, and coordinate i of M v is the parity of
+popcount(row_i & v).  For q > 2 column j of M is one int holding M[i][j] in
+lane i, each lane w = (n (q-1)^2).bit_length() bits wide for an M with n
+columns; M v is the sum of v_j times column j, and since no lane can exceed
+n (q-1)^2 no lane carries into the next, so coordinate i is lane i mod q.
+The elimination routines use the same int-packed rows at q = 2 (XOR row
+ops).
 """
 
 from __future__ import annotations
 
 import os
 from functools import lru_cache
+from operator import mul
 from random import Random
 from typing import Iterator, Sequence
 
@@ -94,19 +103,38 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
 
-def mat_vec(m: Matrix, v: Vector, q: int) -> Vector:
-    if len(m[0]) != len(v):
+def mat_vecs(m: Matrix, vs: Sequence[Vector], q: int) -> list[Vector]:
+    """M v for every v in vs, in order; entries of m and vs lie in [0, q)."""
+    n = len(m[0])
+    if set(map(len, vs)) - {n}:
         raise ValueError("dimension mismatch")
-    return tuple(sum(r * x for r, x in zip(row, v)) % q for row in m)
+    if q == 2:
+        rows = _pack_rows(m)
+        weights = [1 << j for j in range(n)]
+        return [
+            tuple([(row & x).bit_count() & 1 for row in rows])
+            for x in (sum(map(mul, v, weights)) for v in vs)
+        ]
+    width = (n * (q - 1) ** 2).bit_length()
+    mask = (1 << width) - 1
+    shifts = range(0, width * len(m), width)
+    cols = [sum(e << s for e, s in zip(col, shifts)) for col in zip(*m)]
+    out = []
+    for v in vs:
+        acc = 0
+        for col, x in zip(cols, v):
+            if x:
+                acc += col * x
+        out.append(tuple([(acc >> s & mask) % q for s in shifts]))
+    return out
+
+
+def mat_vec(m: Matrix, v: Vector, q: int) -> Vector:
+    return mat_vecs(m, (v,), q)[0]
 
 
 def mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
-    if len(a[0]) != len(b):
-        raise ValueError("dimension mismatch")
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % q for col in bt) for row in a
-    )
+    return tuple(zip(*mat_vecs(a, tuple(zip(*b)), q)))
 
 
 # -- int-packed GF(2) rows: bit j of the int is column j --------------------

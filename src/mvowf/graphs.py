@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .field import Matrix, Vector, mat_vec
+from .field import Matrix, Vector, mat_vecs
 from .owf import iter_matchings
 
 GREEN = "green"
@@ -135,7 +135,7 @@ def extract_isomorphism(
     if pair is None:
         raise InvalidWitnessError("graphs differ in vertex or edge count")
     v_list, w_sorted = pair
-    if tuple(sorted(mat_vec(m, v, q) for v in v_list)) != w_sorted:
+    if tuple(sorted(mat_vecs(m, v_list, q))) != w_sorted:
         raise InvalidWitnessError("matrix does not map V onto W")
 
     n = g1.n_vertices

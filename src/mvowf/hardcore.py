@@ -30,6 +30,7 @@ from .field import (
     mat_inverse,
     mat_mul,
     mat_vec,
+    mat_vecs,
     rank,
     random_invertible_mapping,
     random_vector,
@@ -396,7 +397,7 @@ def bilinear_invert(
             b_mat = random_invertible_mapping(y, b, q, rng)
             ctx = BilinearContext(
                 image=transform_image(a_mat, image, q).vectors,
-                basis=tuple(mat_vec(b_mat, v, q) for v in key.vectors),
+                basis=tuple(mat_vecs(b_mat, key.vectors, q)),
                 left=a_mat,
                 right=b_mat,
             )

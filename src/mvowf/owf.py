@@ -24,7 +24,7 @@ from .field import (
     identity,
     mat_inverse,
     mat_mul,
-    mat_vec,
+    mat_vecs,
     rank,
     random_invertible,
     random_vector,
@@ -37,6 +37,11 @@ from .rng import spawn_rng
 
 class BudgetExceededError(RuntimeError):
     """Backtracking search hit its node budget before finishing."""
+
+
+def _check_entries(rows: Sequence[Vector], q: int, what: str) -> None:
+    if any(not 0 <= e < q for row in rows for e in row):
+        raise ValueError(f"{what} entry out of range for q = {q}")
 
 
 @dataclass(frozen=True)
@@ -55,8 +60,7 @@ class OwfKey:
         for v in self.vectors:
             if len(v) != self.n:
                 raise ValueError("key vector of wrong length")
-            if any(not 0 <= e < self.q for e in v):
-                raise ValueError("key vector entry out of range")
+        _check_entries(self.vectors, self.q, "key vector")
 
     @property
     def m(self) -> int:
@@ -127,14 +131,16 @@ def evaluate(key: OwfKey, m: Matrix) -> OwfImage:
     """Sorted list of M*v over the key vectors; M must be invertible."""
     if len(m) != key.n or any(len(row) != key.n for row in m):
         raise ValueError("matrix has wrong shape for this key")
+    _check_entries(m, key.q, "matrix")
     if rank(m, key.q) != key.n:
         raise SingularMatrixError("evaluation domain is GL_n; matrix is singular")
-    return OwfImage(tuple(sorted(mat_vec(m, v, key.q) for v in key.vectors)))
+    return OwfImage(tuple(sorted(mat_vecs(m, key.vectors, key.q))))
 
 
 def transform_image(a: Matrix, image: OwfImage, q: int) -> OwfImage:
     """Sorted multiset A*W; equals evaluate at A*M when W = evaluate at M."""
-    return OwfImage(tuple(sorted(mat_vec(a, w, q) for w in image.vectors)))
+    _check_entries(a, q, "matrix")
+    return OwfImage(tuple(sorted(mat_vecs(a, image.vectors, q))))
 
 
 # -- multiset matching search ------------------------------------------------
@@ -311,9 +317,9 @@ def _canonical_permutation(vectors: Sequence[Vector], k: Matrix, q: int) -> tupl
     for i, v in enumerate(vectors):
         positions.setdefault(v, []).append(i)
     pi = [0] * len(vectors)
-    for v, idxs in positions.items():
-        targets = positions[mat_vec(k, v, q)]
-        for i, j in zip(idxs, targets):
+    images = mat_vecs(k, list(positions), q)
+    for idxs, w in zip(positions.values(), images):
+        for i, j in zip(idxs, positions[w]):
             pi[i] = j
     return tuple(pi)
 
@@ -425,7 +431,7 @@ def orbit_randomize(
     original one.  Returns (new key, image, B).
     """
     b = random_invertible(key.n, key.q, rng)
-    vectors = tuple(mat_vec(b, v, key.q) for v in key.vectors)
+    vectors = tuple(mat_vecs(b, key.vectors, key.q))
     return OwfKey(q=key.q, n=key.n, vectors=vectors), image, b
 
 

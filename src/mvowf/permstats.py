@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .field import Vector, inner_product, random_invertible, random_vector, rank, mat_vec
+from .field import Vector, inner_product, mat_vecs, random_invertible, random_vector, rank
 from .rng import spawn_rng
 
 Poly = tuple[Fraction, ...]
@@ -154,7 +154,7 @@ def signature_ambiguity_experiment(
         rng = spawn_rng(seed, "sig", t)
         vs = [random_vector(n, q, rng) for _ in range(m)]
         mat = random_invertible(n, q, rng)
-        ws = [mat_vec(mat, v, q) for v in vs]
+        ws = mat_vecs(mat, vs, q)
         gs = sample_projection_family(n, q, size, rng)
         count = count_signature_preserving(ws, gs, q)
         total += count

@@ -92,18 +92,30 @@ class HiddenShiftInstance:
     shift: Matrix
 
 
+def _memoised_evaluate(key: OwfKey) -> Callable[[Matrix], OwfImage]:
+    """evaluate(key, .) remembering each image; errors are raised, not stored."""
+    memo: dict[Matrix, OwfImage] = {}
+
+    def f(n_mat: Matrix) -> OwfImage:
+        index = tuple(map(tuple, n_mat))
+        if index not in memo:
+            memo[index] = evaluate(key, index)
+        return memo[index]
+
+    return f
+
+
 def make_hidden_shift(key: OwfKey, m: Matrix) -> HiddenShiftInstance:
-    """Hidden shift pair: f1 from the key alone, f2 through the secret M."""
+    """Hidden shift pair: f1 from the key alone, f2 through the secret M.
+
+    Each function evaluates a given block once per instance: a scan of the
+    2 |GL_n|^2 wreath elements reads only 2 |GL_n| distinct values.
+    """
     image = evaluate(key, m)  # also rejects singular M
     shifted_key = OwfKey(q=key.q, n=key.n, vectors=image.vectors)
-
-    def f1(n_mat: Matrix) -> OwfImage:
-        return evaluate(key, n_mat)
-
-    def f2(n_mat: Matrix) -> OwfImage:
-        return evaluate(shifted_key, n_mat)
-
-    return HiddenShiftInstance(f1=f1, f2=f2, shift=m)
+    return HiddenShiftInstance(
+        f1=_memoised_evaluate(key), f2=_memoised_evaluate(shifted_key), shift=m
+    )
 
 
 @dataclass(frozen=True)

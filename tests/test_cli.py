@@ -149,3 +149,38 @@ def test_ig_stats_cli(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("n,m,q,trials,mean,max")
     assert len(lines) == 2
+
+
+def _usage_exit_code(args):
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    return exc.value.code
+
+
+def test_injectivity_rejects_zero_trials():
+    args = ["injectivity", "--q", "2", "--n", "3", "--deltas", "2", "--trials", "0", "--seed", "4"]
+    assert _usage_exit_code(args) == 2
+
+
+def test_injectivity_rejects_negative_trials(capsys):
+    args = ["injectivity", "--q", "2", "--n", "3", "--deltas", "2", "--trials", "-5", "--seed", "4"]
+    assert _usage_exit_code(args) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_perm_stats_rejects_negative_k(capsys):
+    assert _usage_exit_code(["perm-stats", "--k", "-2"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["invert", "unused.json"],
+        ["gi-solve", "g1.txt", "g2.txt", "--q", "2"],
+        ["hardcore-bilinear", "--q", "2", "--n", "4", "--seed", "11"],
+    ],
+    ids=["invert", "gi-solve", "hardcore-bilinear"],
+)
+def test_negative_budget_rejected(args):
+    assert _usage_exit_code(args + ["--budget", "-1"]) == 2

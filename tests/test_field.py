@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import MODULI, matrices, reference_mat_mul, reference_mat_vec, vectors
 from mvowf.field import (
     EnumerationCapError,
     NoSolutionError,
@@ -23,6 +24,7 @@ from mvowf.field import (
     mat_inverse,
     mat_mul,
     mat_vec,
+    mat_vecs,
     rank,
     random_invertible,
     random_invertible_mapping,
@@ -248,3 +250,53 @@ def test_enumerate_vectors_lexicographic():
     vs = list(enumerate_vectors(2, 3))
     assert vs == sorted(vs)
     assert len(vs) == 9
+
+
+# -- the batched kernel against the per-vector reference ---------------------
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(M, vs, q): M is k x n with k != n allowed, n up to 16, vs possibly empty."""
+    q = draw(st.sampled_from(MODULI))
+    k, n = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    m = draw(matrices(q, k, n))
+    vs = draw(st.lists(vectors(q, n), max_size=12))
+    return m, vs, q
+
+
+@given(kernel_inputs())
+@settings(max_examples=300, deadline=None)
+def test_mat_vecs_matches_reference(inputs):
+    m, vs, q = inputs
+    expected = [reference_mat_vec(m, v, q) for v in vs]
+    assert mat_vecs(m, vs, q) == expected
+    assert [mat_vec(m, v, q) for v in vs] == expected
+
+
+@given(st.sampled_from(MODULI), st.integers(1, 16), st.integers(1, 16), st.integers(1, 16), st.data())
+@settings(max_examples=150, deadline=None)
+def test_mat_mul_matches_reference(q, k, n, p, data):
+    a = data.draw(matrices(q, k, n))
+    b = data.draw(matrices(q, n, p))
+    assert mat_mul(a, b, q) == reference_mat_mul(a, b, q)
+
+
+@pytest.mark.parametrize("q", MODULI)
+def test_mat_vecs_lane_bound(q):
+    # every lane reaches its largest value n (q-1)^2 without carrying
+    for k, n in ((1, 16), (16, 16), (5, 3)):
+        m = ((q - 1,) * n,) * k
+        vs = [(q - 1,) * n, (0,) * n]
+        assert mat_vecs(m, vs, q) == [reference_mat_vec(m, v, q) for v in vs]
+
+
+def test_mat_vecs_empty_batch_and_mismatch():
+    assert mat_vecs(identity(3), [], 5) == []
+    for q in (2, 3):
+        with pytest.raises(ValueError):
+            mat_vecs(identity(3), [(1, 0, 0), (1, 0)], q)
+        with pytest.raises(ValueError):
+            mat_vec(identity(2), (1, 0, 0), q)
+        with pytest.raises(ValueError):
+            mat_mul(identity(2), identity(3), q)

@@ -3,8 +3,11 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import MODULI, matrices, reference_mat_vec
 from mvowf.field import (
+    SingularMatrixError,
     enumerate_invertible,
     identity,
     mat_mul,
@@ -316,3 +319,40 @@ def test_injectivity_experiment_deterministic():
 def test_image_sorted_invariant():
     with pytest.raises(ValueError):
         OwfImage(((1, 0), (0, 1)))
+
+
+# -- evaluate and transform_image against the per-vector reference -----------
+
+
+@st.composite
+def keys_and_matrices(draw):
+    q = draw(st.sampled_from(MODULI))
+    n = draw(st.integers(2, 16))
+    rng = Random(draw(st.integers(0, 2**32)))
+    key = keygen(q, n, delta=draw(st.integers(0, 8)), rng=rng)
+    return key, random_invertible(n, q, rng), draw(matrices(q, n, n))
+
+
+@given(keys_and_matrices())
+@settings(max_examples=100, deadline=None)
+def test_evaluate_and_transform_image_match_reference(inputs):
+    key, m, a = inputs
+    q = key.q
+    expected = OwfImage(tuple(sorted(reference_mat_vec(m, v, q) for v in key.vectors)))
+    assert evaluate(key, m) == expected
+    # a is any matrix, singular or not
+    assert transform_image(a, expected, q) == OwfImage(
+        tuple(sorted(reference_mat_vec(a, w, q) for w in expected.vectors))
+    )
+
+
+@pytest.mark.parametrize(
+    "q, bad",
+    [(2, ((2, 0), (0, 1))), (2, ((1, 0), (-1, 1))), (3, ((3, 0), (0, 1))), (3, ((1, -1), (0, 1)))],
+)
+def test_evaluate_rejects_out_of_range_entries(q, bad):
+    key = OwfKey(q=q, n=2, vectors=((1, 0), (0, 1), (1, 1)))
+    for call in (lambda: evaluate(key, bad), lambda: transform_image(bad, evaluate(key, identity(2)), q)):
+        with pytest.raises(ValueError, match="out of range") as exc:
+            call()
+        assert not isinstance(exc.value, SingularMatrixError)

@@ -8,7 +8,9 @@ from random import Random
 
 import pytest
 
+from mvowf import wreath
 from mvowf.field import (
+    SingularMatrixError,
     enumerate_invertible,
     identity,
     mat_inverse,
@@ -136,3 +138,49 @@ def test_swap_composition_convention():
     x = WreathElement(a1, a2, 1)
     y = WreathElement(b1, b2, 0)
     assert wreath_mul(x, y, Q) == WreathElement(mat_mul(a1, b2, Q), mat_mul(a2, b1, Q), 1)
+
+
+# -- the memoised hidden-shift oracle -----------------------------------------
+
+
+def test_hidden_shift_accepts_lists_and_keeps_raising_on_singular():
+    m = random_invertible(N, Q, Random(9))
+    inst = make_hidden_shift(INJECTIVE_KEY, m)
+    for n_mat in enumerate_invertible(N, Q):
+        as_lists = [list(row) for row in n_mat]
+        assert inst.f1(as_lists) == inst.f1(n_mat) == evaluate(INJECTIVE_KEY, n_mat)
+        assert inst.f2(as_lists) == inst.f2(n_mat) == evaluate(INJECTIVE_KEY, mat_mul(n_mat, m, Q))
+    singular = [[1, 1], [1, 1]]
+    for _ in range(3):
+        for f in (inst.f1, inst.f2):
+            with pytest.raises(SingularMatrixError):
+                f(singular)
+
+
+@pytest.mark.parametrize("key, holds", [(INJECTIVE_KEY, True), (NON_INJECTIVE_KEY, False)])
+def test_memoised_oracle_values_and_promise(elements, key, holds):
+    m = random_invertible(N, Q, Random(10))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        inst = make_hsp_oracle(key, m)
+    assert any("injective" in str(w.message) for w in caught) == (not holds)
+    shifted = OwfKey(q=Q, n=N, vectors=evaluate(key, m).vectors)
+    for x in elements + elements:  # second pass reads the memo
+        first, second = (x.g1, x.g2) if x.swap == 0 else (x.g2, x.g1)
+        f1, f2 = evaluate(key, first), evaluate(shifted, second)
+        assert inst.f(x) == ((f1, f2) if x.swap == 0 else (f2, f1))
+    assert verify_hsp_promise(inst, N, Q) == holds
+
+
+def test_promise_check_evaluates_each_block_once(monkeypatch):
+    calls = []
+
+    def counting_evaluate(key, n_mat):
+        calls.append(n_mat)
+        return evaluate(key, n_mat)
+
+    monkeypatch.setattr(wreath, "evaluate", counting_evaluate)
+    m = random_invertible(N, Q, Random(11))
+    assert verify_hsp_promise(make_hsp_oracle(INJECTIVE_KEY, m), N, Q)
+    # the shift's image, then |GL_2(F_2)| = 6 blocks for each of f1 and f2
+    assert len(calls) <= 13
