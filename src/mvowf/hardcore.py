@@ -168,6 +168,10 @@ def estimate_advantage(
 
 # -- list decoding of noisy linear forms -------------------------------------
 
+# Largest float32 array (16 MiB) one block of the decoder's matrix products
+# builds, in the guess correlation and in the survivor re-check alike.
+_BLOCK_ELEMENTS = 1 << 22
+
 
 def _to_bits(x: int, k: int) -> Vector:
     return tuple((x >> i) & 1 for i in range(k))
@@ -219,7 +223,7 @@ def goldreich_levin_f2(
     vote_totals = votes.sum(axis=1)
 
     candidates: set[Vector] = set()
-    chunk = max(1, (1 << 22) // max(1, nsub))
+    chunk = max(1, _BLOCK_ELEMENTS // nsub)
     for start in range(0, 2**t, chunk):
         guesses = np.arange(start, min(start + chunk, 2**t), dtype=np.int64)
         corr = parity[guesses[:, None] & masks[None, :]].astype(np.float32)
@@ -238,19 +242,38 @@ def goldreich_levin_f2(
         64,
         math.ceil(2 * math.log(2 * max(len(candidates), 2) / delta) / (epsilon * epsilon)),
     )
-    points = [rng.getrandbits(k) for _ in range(n_check)]
-    answers = [oracle(_to_bits(x, k)) for x in points]
+    points = [_to_bits(rng.getrandbits(k), k) for _ in range(n_check)]
+    answers = [oracle(x) for x in points]
+    ordered = sorted(candidates)
+    agree = _agreements(
+        np.array(ordered, dtype=np.uint8).reshape(len(ordered), k),
+        np.array(points, dtype=np.uint8),
+        np.array(answers, dtype=np.int64),
+    )
     scored = []
-    for h in sorted(candidates):
-        h_int = sum(bit << i for i, bit in enumerate(h))
-        agree = sum(
-            ((h_int & x).bit_count() & 1) == answers[j] for j, x in enumerate(points)
-        )
-        frac = agree / n_check
+    for h, hits in zip(ordered, agree.tolist()):
+        frac = hits / n_check
         if frac >= 0.5 + epsilon / 2:
             scored.append((-frac, h))
     scored.sort()
     return [h for _, h in scored]
+
+
+def _agreements(candidates: np.ndarray, points: np.ndarray, answers: np.ndarray) -> np.ndarray:
+    """Per candidate row h, the number of points x with <h, x> mod 2 == answer.
+
+    candidates is (c, k) and points (n_check, k), both 0/1.  Each block is one
+    float32 matrix product; its entries are integers below k <= 400 < 2^24,
+    so the parities are exact.
+    """
+    pts = points.T.astype(np.float32)
+    out = np.empty(len(candidates), dtype=np.int64)
+    rows = max(1, _BLOCK_ELEMENTS // max(points.shape))
+    for start in range(0, len(candidates), rows):
+        block = candidates[start : start + rows].astype(np.float32)
+        parity = (block @ pts) % 2
+        out[start : start + rows] = (parity == answers).sum(axis=1)
+    return out
 
 
 def gl_decode_exhaustive(
@@ -313,32 +336,43 @@ def trace_invert(
     exists) get memoized uniform values, scaling the usable advantage by the
     invertible fraction alpha.  A single draw of those values yields a usable
     oracle only with constant probability (at n = 2 most of the domain is
-    singular), so up to `rounds` fresh extensions are tried.  Candidates are
-    verified through evaluate; nothing unverified is returned.
+    singular), so up to `rounds` fresh extensions are tried.  Each distinct
+    point is answered once: only its first query builds N, checks its rank
+    and, if N is invertible, asks the predictor, whose answer then serves
+    every later round too, so the predictor sees at most |GL_n(F_q)| queries.
+    The invertible and singular query counts still count every decoder
+    query.  Candidates are verified through evaluate; nothing unverified is
+    returned.
     """
     n, q = key.n, key.q
     k = n * n
     counts = {"invertible_queries": 0, "singular_queries": 0, "rounds": 0, "candidates": 0}
     effective = invertibility_probability(n, q) * epsilon
 
+    # query point -> (answer, whether N is invertible)
+    answered: dict[Vector, tuple[int, bool]] = {}
     for _ in range(rounds):
         counts["rounds"] += 1
-        singular_values: dict[Vector, int] = {}
+        # a fresh extension: singular points are drawn again, while the
+        # predictor's answers at invertible points hold for every round
+        answered = {x: hit for x, hit in answered.items() if hit[1]}
 
         def oracle(x: Vector) -> int:
-            mat_n = tuple(tuple(x[j * n + i] for j in range(n)) for i in range(n))
-            if rank(mat_n, q) == n:
-                counts["invertible_queries"] += 1
-                ctx = BilinearContext(
-                    image=transform_image(mat_n, image, q).vectors,
-                    basis=key.vectors,
-                    left=mat_n,
-                )
-                return predictor.query(ctx)
-            counts["singular_queries"] += 1
-            if x not in singular_values:
-                singular_values[x] = rng.randrange(q)
-            return singular_values[x]
+            hit = answered.get(x)
+            if hit is None:
+                mat_n = tuple(tuple(x[j * n + i] for j in range(n)) for i in range(n))
+                if rank(mat_n, q) == n:
+                    ctx = BilinearContext(
+                        image=transform_image(mat_n, image, q).vectors,
+                        basis=key.vectors,
+                        left=mat_n,
+                    )
+                    hit = (predictor.query(ctx), True)
+                else:
+                    hit = (rng.randrange(q), False)
+                answered[x] = hit
+            counts["invertible_queries" if hit[1] else "singular_queries"] += 1
+            return hit[0]
 
         if q == 2:
             candidates = goldreich_levin_f2(oracle, k, effective, rng, confidence)

@@ -390,8 +390,10 @@ def invert_backtracking(
 
 def invert_exhaustive(key: OwfKey, image: OwfImage) -> Matrix | None:
     """Scan all of GL_n(F_q) for a preimage; None when the scan exhausts."""
+    # enumerate_invertible yields only in-range invertible matrices, so
+    # evaluate's shape, range and rank checks would be repeated work
     for m in enumerate_invertible(key.n, key.q):
-        if evaluate(key, m) == image:
+        if tuple(sorted(mat_vecs(m, key.vectors, key.q))) == image.vectors:
             return m
     return None
 

@@ -46,3 +46,19 @@ def vectors(q, n):
 def matrices(q, rows, cols):
     """Strategy for rows x cols matrices over F_q, as tuples of row tuples."""
     return st.lists(vectors(q, cols), min_size=rows, max_size=rows).map(tuple)
+
+
+# -- reference re-check: the per-candidate loop that hardcore._agreements
+# replaced, one parity bit at a time
+
+
+def reference_agreements(candidates, points, answers):
+    """Per candidate h, the number of points x with <h, x> mod 2 == answer."""
+    packed = [sum(bit << i for i, bit in enumerate(x)) for x in points]
+    out = []
+    for h in candidates:
+        h_int = sum(bit << i for i, bit in enumerate(h))
+        out.append(
+            sum(((h_int & x).bit_count() & 1) == answers[j] for j, x in enumerate(packed))
+        )
+    return out

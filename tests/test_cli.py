@@ -1,9 +1,14 @@
 """End-to-end command-line behavior: determinism, exit codes, formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mvowf
 from mvowf.cli import main
 from mvowf.field import identity
 from mvowf.formats import dump_graph, matrix_to_text, parse_instance, parse_matrix
@@ -184,3 +189,13 @@ def test_perm_stats_rejects_negative_k(capsys):
 )
 def test_negative_budget_rejected(args):
     assert _usage_exit_code(args + ["--budget", "-1"]) == 2
+
+
+def test_python_dash_m_runs_cli():
+    src = str(Path(mvowf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "mvowf", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert "hardcore-trace" in done.stdout

@@ -2,10 +2,15 @@
 
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import reference_agreements
+from mvowf import hardcore
 from mvowf.field import (
     enumerate_invertible,
+    gl_order,
     identity,
     inner_product,
     invertibility_probability,
@@ -235,6 +240,38 @@ def test_gl_decode_noisy():
     assert wins >= 9
 
 
+@st.composite
+def recheck_inputs(draw):
+    """Candidates, check points and answers for the re-check, plus a block size."""
+    k = draw(st.integers(1, 80))
+    n_check = draw(st.integers(1, 100))
+    rows = st.integers(0, 2**k - 1).map(lambda x: tuple((x >> i) & 1 for i in range(k)))
+    candidates = draw(st.lists(rows, max_size=300))
+    points = draw(st.lists(rows, min_size=n_check, max_size=n_check))
+    answers = draw(st.lists(st.integers(0, 1), min_size=n_check, max_size=n_check))
+    block_rows = draw(st.integers(1, 40))
+    return k, candidates, points, answers, block_rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(recheck_inputs())
+def test_recheck_matches_scalar_reference(inputs):
+    """Blocked matrix-product agreement counts equal the one-bit-at-a-time loop.
+
+    k crosses 64 bits, and the block budget is shrunk so that most examples
+    split the candidates over several blocks.
+    """
+    k, candidates, points, answers, block_rows = inputs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hardcore, "_BLOCK_ELEMENTS", block_rows * max(k, len(points)))
+        got = hardcore._agreements(
+            np.array(candidates, dtype=np.uint8).reshape(len(candidates), k),
+            np.array(points, dtype=np.uint8),
+            np.array(answers, dtype=np.int64),
+        )
+    assert got.tolist() == reference_agreements(candidates, points, answers)
+
+
 def test_exhaustive_decode_agrees_with_f2():
     rng = Random(21)
     h = tuple(rng.randrange(2) for _ in range(10))
@@ -296,6 +333,30 @@ def test_trace_invert_bookkeeping_matches_alpha():
     trace_invert(key, image, predictor, 0.5, rng, stats=stats)
     total = stats["invertible_queries"] + stats["singular_queries"]
     assert abs(stats["invertible_queries"] / total - invertibility_probability(3, 2)) < 0.05
+
+
+@pytest.mark.parametrize("q, epsilon", [(2, 0.5), (3, 2 / 3), (3, 0.5)])
+def test_trace_invert_answers_each_point_once(q, epsilon):
+    """The predictor is asked once per distinct invertible query matrix."""
+    rng = Random(32)
+    key = injective_key(q, 2, rng)
+    m0 = random_invertible(2, q, rng)
+    image = evaluate(key, m0)
+    predictor = make_noisy_predictor(make_trace_truth(m0, q), epsilon, q, rng)
+    assert trace_invert(key, image, predictor, epsilon, rng) == m0
+    assert 0 < predictor.query_count <= gl_order(2, q)
+
+
+def test_trace_invert_later_rounds_reuse_predictor_answers():
+    """Failed rounds redraw the singular points but ask the predictor nothing new."""
+    rng = Random(33)
+    key = injective_key(2, 2, rng)
+    image = evaluate(key, random_invertible(2, 2, rng))
+    predictor = Predictor(lambda ctx: 0, 0.5, 2)
+    stats = {}
+    trace_invert(key, image, predictor, 0.5, rng, stats=stats)
+    assert stats["rounds"] == 4
+    assert predictor.query_count <= gl_order(2, 2)
 
 
 def test_trace_invert_q3():
