@@ -3,7 +3,8 @@ and experiments, with seeded reproducibility and canonical file output.
 
 Exit codes: 0 success, 1 computed negative answer (not isomorphic, not in
 image, reduction failed, promise violated), 2 usage or input error, 3 search
-budget exceeded.
+budget exceeded, 4 internal error (any other exception, reported on stderr
+as "internal error: ..."), so exit 1 always means a computed answer.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _positive_int(text: str) -> int:
@@ -358,6 +360,9 @@ def main(argv=None) -> int:
     except (FormatError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,14 +11,32 @@ popcount(row_i & v).  For q > 2 column j of M is one int holding M[i][j] in
 lane i, each lane w = (n (q-1)^2).bit_length() bits wide for an M with n
 columns; M v is the sum of v_j times column j, and since no lane can exceed
 n (q-1)^2 no lane carries into the next, so coordinate i is lane i mod q.
-The elimination routines use the same int-packed rows at q = 2 (XOR row
+`rank` and `mat_inverse` use the same int-packed rows at q = 2 (XOR row
 ops).
+
+`Echelon` is the one incremental elimination: `push` reduces a row against
+the pivots so far and records it as a new pivot unless it is dependent, and
+`pop` undoes the latest push.  It runs under the matching search
+(`owf.iter_matchings`), `enumerate_invertible` and `solve_linear_invertible`.
+A row may carry `extra` coordinates after its n head coordinates, the right
+hand side of an augmented system: pivots lie in the head only, and a row
+counts as dependent when its head reduces to zero.  At q = 2 a row is one
+int with coordinate 0 at the top bit, so XOR is the row operation and a
+pivot's top bit is its column; at q > 2 a row is a tuple, and each pivot is
+normalised to 1 at its column.  Either way packed rows compare like the
+vectors they pack (index 0 most significant), so a row's head is zero
+exactly when the row lies below `Echelon.bound`.
+
+Every routine that reads entries (`rank`, `mat_inverse`, `solve_linear`,
+`Echelon.pack`, `check_entries`) rejects one outside [0, q) with
+ValueError, at the step that already visits it.
 """
 
 from __future__ import annotations
 
 import os
 from functools import lru_cache
+from itertools import chain
 from operator import mul
 from random import Random
 from typing import Iterator, Sequence
@@ -74,6 +92,27 @@ def validate_modulus(q: int) -> None:
 def _inverse_table(q: int) -> tuple[int, ...]:
     # index 0 unused; pow(a, -1, q) is exact for prime q
     return (0,) + tuple(pow(a, -1, q) for a in range(1, q))
+
+
+@lru_cache(maxsize=None)
+def _digits(q: int) -> dict[int, int]:
+    # the entries of F_q; a lookup fails exactly on an entry outside [0, q)
+    return {a: a for a in range(q)}
+
+
+def check_entries(rows: Sequence[Vector], q: int, what: str) -> None:
+    """Raise ValueError unless every entry of rows lies in [0, q)."""
+    if not all(map(_digits(q).__contains__, chain.from_iterable(rows))):
+        raise ValueError(f"{what} entry out of range for q = {q}")
+
+
+def _rows_in_range(rows: Sequence[Vector], q: int) -> list[list[int]]:
+    """Rows copied to lists; ValueError when an entry lies outside [0, q)."""
+    get = _digits(q).__getitem__
+    try:
+        return [list(map(get, row)) for row in rows]
+    except KeyError as e:
+        raise ValueError(f"entry {e.args[0]!r} out of range for q = {q}") from None
 
 
 def scalar_inv(a: int, q: int) -> int:
@@ -144,6 +183,8 @@ def _pack(v: Vector) -> int:
     x = 0
     for j, e in enumerate(v):
         if e:
+            if e != 1:
+                raise ValueError(f"entry {e!r} out of range for q = 2")
             x |= 1 << j
     return x
 
@@ -170,7 +211,7 @@ def rank(m: Matrix, q: int) -> int:
     """Row rank by Gaussian elimination."""
     if q == 2:
         return _rank_f2(_pack_rows(m))
-    work = [list(row) for row in m]
+    work = _rows_in_range(m, q)
     rows, cols = len(work), len(work[0])
     r = 0
     for c in range(cols):
@@ -213,7 +254,9 @@ def mat_inverse(m: Matrix, q: int) -> Matrix:
                     work[i] ^= work[r]
             r += 1
         return tuple(_unpack(work[i] >> n, n) for i in range(n))
-    work = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
+    work = [
+        row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(_rows_in_range(m, q))
+    ]
     r = 0
     for c in range(n):
         piv = next((i for i in range(r, n) if work[i][c]), None)
@@ -242,7 +285,7 @@ def solve_linear(vs: Sequence[Vector], ws: Sequence[Vector], q: int) -> Matrix:
         raise UnderdeterminedError("no constraints")
     n = len(vs[0])
     # eliminate on rows [v_i | w_i]; X e_j = (reduced w of pivot row j)
-    work = [list(v) + list(w) for v, w in zip(vs, ws)]
+    work = [v + w for v, w in zip(_rows_in_range(vs, q), _rows_in_range(ws, q))]
     pivot_col: list[int] = []
     r = 0
     for c in range(n):
@@ -270,6 +313,135 @@ def solve_linear(vs: Sequence[Vector], ws: Sequence[Vector], q: int) -> Matrix:
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
+# -- incremental echelon -----------------------------------------------------
+
+
+class Echelon:
+    """Row echelon form over F_q built one row at a time, with an undo stack.
+
+    Rows have n head coordinates followed by `extra` carried ones and are
+    packed by `pack` (module docstring).  A pivot's column is its
+    lowest-index nonzero head coordinate, and every pivot is zero at the
+    columns of the pivots pushed before it.
+    """
+
+    def __new__(cls, q: int, n: int, extra: int = 0):
+        if cls is Echelon and q == 2:
+            cls = _PackedEchelon
+        return super().__new__(cls)
+
+    def __init__(self, q: int, n: int, extra: int = 0) -> None:
+        self.q = q
+        self.n = n
+        self.pivots: list[tuple[int, tuple[int, ...]]] = []  # (column, row)
+        self.bound = (0,) * (n - 1) + (1,)  # least row with a nonzero head
+        self.zero = (0,) * (n + extra)
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    def pack(self, v: Vector):
+        return tuple(_rows_in_range((v,), self.q)[0])
+
+    def reduce(self, row):
+        """row minus the multiples of the pivots that clear their columns."""
+        q = self.q
+        for c, p in self.pivots:
+            f = row[c]
+            if f:
+                row = tuple([(a - f * b) % q for a, b in zip(row, p)])
+        return row
+
+    def push(self, row) -> bool:
+        """Reduce row and record it as a pivot; False, and no change, if its head reduces to 0."""
+        row = self.reduce(row)
+        if row < self.bound:
+            return False
+        for c, lead in enumerate(row):
+            if lead:
+                break
+        if lead != 1:
+            q = self.q
+            inv = _inverse_table(q)[lead]
+            row = tuple([(a * inv) % q for a in row])
+        self.pivots.append((c, row))
+        return True
+
+    def pop(self) -> None:
+        """Undo the latest successful push."""
+        self.pivots.pop()
+
+    def eliminate(self, rows: list) -> list:
+        """Each row reduced against the latest pivot only."""
+        q = self.q
+        c, p = self.pivots[-1]
+        out = []
+        for row in rows:
+            f = row[c]
+            if f:
+                row = tuple([(a - f * b) % q for a, b in zip(row, p)])
+            out.append(row)
+        return out
+
+    def sub(self, a, b):
+        """Packed a - b."""
+        return tuple([(x - y) % self.q for x, y in zip(a, b)])
+
+    def tail(self, row):
+        """The carried coordinates, packed as a row of an Echelon(q, extra)."""
+        return row[self.n :]
+
+    def columns(self) -> list[int]:
+        """Pivot columns, in push order."""
+        return [c for c, _ in self.pivots]
+
+
+class _PackedEchelon(Echelon):
+    """Echelon at q = 2: a row of width w is an int, coordinate j at bit w - 1 - j."""
+
+    def __init__(self, q: int, n: int, extra: int = 0) -> None:
+        self.q = q
+        self.n = n
+        self.width = n + extra
+        self.pivots: list[tuple[int, int]] = []  # (row, its top bit)
+        self.bound = 1 << extra
+        self.zero = 0
+
+    def pack(self, v: Vector) -> int:
+        x = 0
+        for e in v:
+            if e != 0 and e != 1:
+                raise ValueError(f"entry {e!r} out of range for q = 2")
+            x = x << 1 | e
+        return x
+
+    def reduce(self, row: int) -> int:
+        for p, top in self.pivots:
+            if row & top:
+                row ^= p
+        return row
+
+    def push(self, row: int) -> bool:
+        row = self.reduce(row)
+        if row < self.bound:
+            return False
+        self.pivots.append((row, 1 << (row.bit_length() - 1)))
+        return True
+
+    def eliminate(self, rows: list[int]) -> list[int]:
+        p, top = self.pivots[-1]
+        return [row ^ p if row & top else row for row in rows]
+
+    def sub(self, a: int, b: int) -> int:
+        return a ^ b
+
+    def tail(self, row: int) -> int:
+        return row & (self.bound - 1)
+
+    def columns(self) -> list[int]:
+        return [self.width - top.bit_length() for _, top in self.pivots]
+
+
 # -- sampling and enumeration ------------------------------------------------
 
 
@@ -288,57 +460,27 @@ def solve_linear_invertible(vs: Sequence[Vector], ws: Sequence[Vector], q: int) 
             raise NoSolutionError("constraints force a singular map")
         return unique
     n = len(vs[0])
-    pivots: list[tuple[int, list[int], list[int]]] = []
-    img_pivots: list[tuple[int, list[int]]] = []
-
-    def reduce_rows(vr: list[int], wr: list[int], rows) -> None:
-        for pcol, pv, pw in rows:
-            f = vr[pcol]
-            if f:
-                for i in range(n):
-                    vr[i] = (vr[i] - f * pv[i]) % q
-                    wr[i] = (wr[i] - f * pw[i]) % q
-
-    def reduce_img(wr: list[int]) -> list[int]:
-        wr = list(wr)
-        for pcol, pw in img_pivots:
-            f = wr[pcol]
-            if f:
-                wr = [(x - f * y) % q for x, y in zip(wr, pw)]
-        return wr
-
-    def push(vr: list[int], wr: list[int]) -> None:
-        wi = reduce_img(wr)
-        if not any(wi):
-            raise NoSolutionError("constraints force a singular map")
-        pcol = next(i for i, x in enumerate(vr) if x)
-        inv = scalar_inv(vr[pcol], q)
-        pivots.append((pcol, [(x * inv) % q for x in vr], [(x * inv) % q for x in wr]))
-        icol = next(i for i, x in enumerate(wi) if x)
-        inv = scalar_inv(wi[icol], q)
-        img_pivots.append((icol, [(x * inv) % q for x in wi]))
-
-    pairs = list(zip([list(v) for v in vs], [list(w) for w in ws]))
-    for vr, wr in pairs:
-        vr, wr = list(vr), list(wr)
-        reduce_rows(vr, wr, pivots)
-        if not any(vr):
-            if any(wr):
+    rows = Echelon(q, n, n)  # [v | w]
+    images = Echelon(q, n)  # the w-parts of the pivots: dependence means X singular
+    for v, w in zip(vs, ws):
+        row = rows.reduce(rows.pack((*v, *w)))
+        if row < rows.bound:
+            if row != rows.zero:
                 raise NoSolutionError("inconsistent constraints")
             continue
-        push(vr, wr)
+        if not images.push(rows.tail(row)):
+            raise NoSolutionError("constraints force a singular map")
+        rows.push(row)
+    # unit vectors off the pivot columns complete the v_i to a basis; give
+    # each the lexicographically first image that keeps X invertible
     extra: list[tuple[Vector, Vector]] = []
-    taken = {pcol for pcol, _, _ in pivots}
+    taken = set(rows.columns())
     for j in range(n):
-        if len(pivots) == n:
-            break
         if j in taken:
             continue
-        source = tuple(1 if i == j else 0 for i in range(n))
         for y in enumerate_vectors(n, q):
-            if any(reduce_img(list(y))):
-                push([1 if i == j else 0 for i in range(n)], list(y))
-                extra.append((source, y))
+            if images.push(images.pack(y)):
+                extra.append((tuple(1 if i == j else 0 for i in range(n)), y))
                 break
     return solve_linear(list(vs) + [p[0] for p in extra], list(ws) + [p[1] for p in extra], q)
 
@@ -421,17 +563,22 @@ def enumerate_invertible(n: int, q: int) -> Iterator[Matrix]:
             f"q^(n^2) = {q ** (n * n)} exceeds enumeration cap {enumeration_cap()}"
         )
     all_rows = list(enumerate_vectors(n, q))
+    echelon = Echelon(q, n)
+    packed = [echelon.pack(row) for row in all_rows]
+    prefix: list[Vector] = []
 
-    def build(prefix: list[Vector]) -> Iterator[Matrix]:
+    def build() -> Iterator[Matrix]:
         if len(prefix) == n:
             yield tuple(prefix)
             return
-        r = len(prefix)
-        for row in all_rows:
-            if rank(tuple(prefix) + (row,), q) == r + 1:
-                yield from build(prefix + [row])
+        for row, x in zip(all_rows, packed):
+            if echelon.push(x):
+                prefix.append(row)
+                yield from build()
+                prefix.pop()
+                echelon.pop()
 
-    yield from build([])
+    yield from build()
 
 
 def gl_order(n: int, q: int) -> int:

@@ -21,6 +21,8 @@ class FormatError(ValueError):
 
 
 def _parse_vector(text: str, n: int, q: int, where: str) -> Vector:
+    if not isinstance(text, str):
+        raise FormatError(f"{where}: expected a string of entries, got {type(text).__name__}")
     parts = text.split()
     if len(parts) != n:
         raise FormatError(f"{where}: expected {n} entries, got {len(parts)}")
@@ -76,7 +78,8 @@ def dump_instance(key: OwfKey, image: OwfImage | None = None) -> str:
 def parse_instance(text: str) -> tuple[OwfKey, OwfImage | None]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError covers JSONDecodeError and integers past the digit limit
         raise FormatError(f"not valid JSON: {e}") from None
     if not isinstance(doc, dict) or doc.get("schema") != INSTANCE_SCHEMA:
         raise FormatError(f"missing or unknown schema (expected {INSTANCE_SCHEMA!r})")
@@ -84,14 +87,21 @@ def parse_instance(text: str) -> tuple[OwfKey, OwfImage | None]:
         if field_name not in doc:
             raise FormatError(f"missing field {field_name!r}")
     q, n, m = doc["q"], doc["n"], doc["m"]
-    if not (isinstance(q, int) and is_prime(q)):
-        raise FormatError(f"q must be a prime integer, got {q!r}")
+    # the bound comes first: is_prime trial-divides up to sqrt(q)
+    if not (isinstance(q, int) and q < 256 and is_prime(q)):
+        raise FormatError(f"q must be a prime integer below 256, got {q!r}")
     if not isinstance(n, int) or n < 1:
         raise FormatError(f"n must be a positive integer, got {n!r}")
     if not isinstance(doc["V"], list) or len(doc["V"]) != m:
         raise FormatError(f"V must list exactly m = {m} vectors")
+    seed = doc.get("seed")
+    if seed is not None and not isinstance(seed, int):
+        raise FormatError(f"seed must be an integer or null, got {seed!r}")
     vectors = tuple(_parse_vector(v, n, q, f"V[{i}]") for i, v in enumerate(doc["V"]))
-    key = OwfKey(q=q, n=n, vectors=vectors, seed=doc.get("seed"))
+    try:
+        key = OwfKey(q=q, n=n, vectors=vectors, seed=seed)
+    except ValueError as e:
+        raise FormatError(str(e)) from None
     image = None
     if "W" in doc:
         if not isinstance(doc["W"], list) or len(doc["W"]) != m:
@@ -120,6 +130,8 @@ def parse_graph(text: str) -> SimpleGraph:
         n_vertices, n_edges = int(header[0]), int(header[1])
     except ValueError:
         raise FormatError("header must hold two integers") from None
+    if n_vertices < 0:
+        raise FormatError(f"vertex count must be non-negative, got {n_vertices}")
     if len(lines) - 1 != n_edges:
         raise FormatError(f"header promises {n_edges} edges, file has {len(lines) - 1}")
     edges = []

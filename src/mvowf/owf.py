@@ -16,9 +16,11 @@ from random import Random
 from typing import Callable, Iterator, Sequence
 
 from .field import (
+    Echelon,
     Matrix,
     SingularMatrixError,
     Vector,
+    check_entries,
     enumerate_invertible,
     enumerate_vectors,
     identity,
@@ -28,7 +30,6 @@ from .field import (
     rank,
     random_invertible,
     random_vector,
-    scalar_inv,
     solve_linear,
     validate_modulus,
 )
@@ -37,11 +38,6 @@ from .rng import spawn_rng
 
 class BudgetExceededError(RuntimeError):
     """Backtracking search hit its node budget before finishing."""
-
-
-def _check_entries(rows: Sequence[Vector], q: int, what: str) -> None:
-    if any(not 0 <= e < q for row in rows for e in row):
-        raise ValueError(f"{what} entry out of range for q = {q}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,7 @@ class OwfKey:
         for v in self.vectors:
             if len(v) != self.n:
                 raise ValueError("key vector of wrong length")
-        _check_entries(self.vectors, self.q, "key vector")
+        check_entries(self.vectors, self.q, "key vector")
 
     @property
     def m(self) -> int:
@@ -131,7 +127,7 @@ def evaluate(key: OwfKey, m: Matrix) -> OwfImage:
     """Sorted list of M*v over the key vectors; M must be invertible."""
     if len(m) != key.n or any(len(row) != key.n for row in m):
         raise ValueError("matrix has wrong shape for this key")
-    _check_entries(m, key.q, "matrix")
+    # rank rejects entries outside [0, q) as it reads them
     if rank(m, key.q) != key.n:
         raise SingularMatrixError("evaluation domain is GL_n; matrix is singular")
     return OwfImage(tuple(sorted(mat_vecs(m, key.vectors, key.q))))
@@ -139,7 +135,7 @@ def evaluate(key: OwfKey, m: Matrix) -> OwfImage:
 
 def transform_image(a: Matrix, image: OwfImage, q: int) -> OwfImage:
     """Sorted multiset A*W; equals evaluate at A*M when W = evaluate at M."""
-    _check_entries(a, q, "matrix")
+    check_entries(a, q, "matrix")
     return OwfImage(tuple(sorted(mat_vecs(a, image.vectors, q))))
 
 
@@ -148,10 +144,20 @@ def transform_image(a: Matrix, image: OwfImage, q: int) -> OwfImage:
 # Core engine shared by witness enumeration, injectivity, inversion and the
 # graph-isomorphism search: yield every invertible M with M*src = dst as
 # multisets.  Distinct source values are assigned targets in first-appearance
-# order, candidates in lexicographic order; incremental elimination forces
-# the images of dependent values and prunes branches that would make M
-# singular.  When the source values do not span, the remaining degrees of
-# freedom are either completed greedily (one witness per leaf) or enumerated.
+# order, candidates in lexicographic order.  Assigning v -> w pushes the row
+# (v | -M v), reduced, onto a field.Echelon whose pivots lie in the v-part; a
+# second Echelon over the images of the pivots rejects an assignment that
+# would make M singular.  Each source value not yet assigned keeps a
+# residual, (v | 0) reduced against the pivots; a push reduces every residual
+# against the new pivot only.  A residual with a zero v-part is (0 | M v):
+# the value lies in the assigned span and its image is forced.  So the
+# lookahead scans the residuals and prunes the branch when a forced image is
+# missing from dst or has the wrong multiplicity.  A forced image cannot
+# collide with an assigned or another forced one: the pivots' images are
+# independent, so M is injective on the assigned span.  Packed rows are
+# hashable, and a zero-v-part residual is the key of its image.  When the
+# source values do not span, the remaining degrees of freedom are either
+# completed greedily (one witness per leaf) or enumerated.
 
 
 def iter_matchings(
@@ -167,53 +173,26 @@ def iter_matchings(
     if sum(src_count.values()) != sum(dst_count.values()):
         return
     src_vals = list(dict.fromkeys(src))
-    by_mult: dict[int, list[Vector]] = {}
-    for w in sorted(dst_count):
-        by_mult.setdefault(dst_count[w], []).append(w)
+    mults = [src_count[v] for v in src_vals]
+    rows = Echelon(q, n, n)
+    images = Echelon(q, n)
+    bound = rows.bound
+    zeros = (0,) * n
+    target = {rows.pack(zeros + w): w for w in sorted(dst_count)}  # key (0 | w) -> w
+    count = {k: dst_count[w] for k, w in target.items()}
+    by_mult: dict[int, list[tuple[Vector, object]]] = {}
+    for k, w in target.items():
+        by_mult.setdefault(count[k], []).append((w, k))
 
     nodes = 0
-    used: set[Vector] = set()
+    used: set = set()  # keys of the assigned images
     pairs: list[tuple[Vector, Vector]] = []
-    # echelon rows (pivot col, v-part, w-part): each row asserts M*vpart = wpart
-    pivots: list[tuple[int, list[int], list[int]]] = []
-    # separate echelon over the w-parts of pivots: collapse means M singular
-    img_pivots: list[tuple[int, list[int]]] = []
 
     def charge() -> None:
         nonlocal nodes
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise BudgetExceededError(f"matching search exceeded {node_budget} nodes")
-
-    def reduce_pair(v: Vector, w: Vector) -> tuple[list[int], list[int]]:
-        vr, wr = list(v), list(w)
-        for pcol, pv, pw in pivots:
-            f = vr[pcol]
-            if f:
-                vr = [(x - f * y) % q for x, y in zip(vr, pv)]
-                wr = [(x - f * y) % q for x, y in zip(wr, pw)]
-        return vr, wr
-
-    def reduce_image(w: list[int]) -> list[int]:
-        wr = list(w)
-        for pcol, pw in img_pivots:
-            f = wr[pcol]
-            if f:
-                wr = [(x - f * y) % q for x, y in zip(wr, pw)]
-        return wr
-
-    def push_pivot(vr: list[int], wr: list[int]) -> bool:
-        """Normalize and record a new pivot; False when the image collapses."""
-        wi = reduce_image(wr)
-        if not any(wi):
-            return False
-        pcol = next(i for i, x in enumerate(vr) if x)
-        inv = scalar_inv(vr[pcol], q)
-        pivots.append((pcol, [(x * inv) % q for x in vr], [(x * inv) % q for x in wr]))
-        icol = next(i for i, x in enumerate(wi) if x)
-        inv = scalar_inv(wi[icol], q)
-        img_pivots.append((icol, [(x * inv) % q for x in wi]))
-        return True
 
     def solve_from_pairs(extra: list[tuple[Vector, Vector]]) -> Matrix:
         vs = [p[0] for p in pairs] + [p[0] for p in extra]
@@ -232,83 +211,65 @@ def iter_matchings(
                 yield solve_from_pairs(extra)
                 return
             for y in enumerate_vectors(n, q):
-                wi = reduce_image(list(y))
-                if not any(wi):
+                if not images.push(images.pack(y)):
                     continue
                 charge()
-                icol = next(i for i, x in enumerate(wi) if x)
-                inv = scalar_inv(wi[icol], q)
-                img_pivots.append((icol, [(x * inv) % q for x in wi]))
                 yield from choose(idx + 1, extra + [(free_sources[idx], y)])
-                img_pivots.pop()
+                images.pop()
                 if not enumerate_completions:
                     return
 
         yield from choose(0, [])
 
     def free_basis() -> list[Vector]:
-        # unit vectors off the pivot columns reduce to themselves, so they
-        # extend the source span to all of F_q^n
-        taken = {pcol for pcol, _, _ in pivots}
+        # unit vectors off the pivot columns extend the source span to F_q^n
+        taken = set(rows.columns())
         return [
             tuple(1 if i == j else 0 for i in range(n))
             for j in range(n)
             if j not in taken
         ]
 
-    def forced_images_available(idx: int) -> bool:
-        # lookahead: any not-yet-processed value already inside the assigned
-        # span has a determined image; prune now if that image is missing,
-        # has the wrong multiplicity, or collides with another forced one
-        claimed: set[Vector] = set()
-        for v in src_vals[idx:]:
-            vr, wneg = reduce_pair(v, (0,) * n)
-            if any(vr):
-                continue
-            forced = tuple((-x) % q for x in wneg)
-            if (
-                dst_count.get(forced) != src_count[v]
-                or forced in used
-                or forced in claimed
-            ):
-                return False
-            claimed.add(forced)
-        return True
+    def forced_images_available(idx: int, residuals: list) -> bool:
+        return all(count.get(r) == mult for r, mult in zip(residuals, mults[idx:]) if r < bound)
 
-    def extend(idx: int) -> Iterator[Matrix]:
+    def extend(idx: int, residuals: list) -> Iterator[Matrix]:
+        # residuals[i] belongs to src_vals[idx + i]
         if idx == len(src_vals):
             yield from complete(free_basis())
             return
         v = src_vals[idx]
-        mult = src_count[v]
-        vr, wneg = reduce_pair(v, (0,) * n)
-        if not any(vr):
-            forced = tuple((-x) % q for x in wneg)
-            if dst_count.get(forced) == mult and forced not in used:
+        mult = mults[idx]
+        r = residuals[0]
+        rest = residuals[1:]
+        if r < bound:
+            if count.get(r) == mult:
                 charge()
-                used.add(forced)
-                pairs.append((v, forced))
-                yield from extend(idx + 1)
+                used.add(r)
+                pairs.append((v, target[r]))
+                yield from extend(idx + 1, rest)
                 pairs.pop()
-                used.remove(forced)
+                used.remove(r)
             return
-        for w in by_mult.get(mult, []):
-            if w in used:
+        for w, k in by_mult.get(mult, []):
+            if k in used:
                 continue
             charge()
-            wr = [(x + y) % q for x, y in zip(w, wneg)]
-            if not push_pivot(vr, wr):
+            row = rows.sub(r, k)  # (v' | -M v') for the part v' of v outside the span
+            if not images.push(rows.tail(row)):
                 continue
-            used.add(w)
+            rows.push(row)
+            used.add(k)
             pairs.append((v, w))
-            if forced_images_available(idx + 1):
-                yield from extend(idx + 1)
+            reduced = rows.eliminate(rest)
+            if forced_images_available(idx + 1, reduced):
+                yield from extend(idx + 1, reduced)
             pairs.pop()
-            used.remove(w)
-            pivots.pop()
-            img_pivots.pop()
+            used.remove(k)
+            rows.pop()
+            images.pop()
 
-    yield from extend(0)
+    yield from extend(0, [rows.pack(v + zeros) for v in src_vals])
 
 
 def _canonical_permutation(vectors: Sequence[Vector], k: Matrix, q: int) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mvowf
+from mvowf import cli
 from mvowf.cli import main
 from mvowf.field import identity
 from mvowf.formats import dump_graph, matrix_to_text, parse_instance, parse_matrix
@@ -48,6 +49,27 @@ def test_eval_rejects_singular_matrix(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 1\n1 1\n")
     assert run(["eval", str(key_file), str(bad)]) == 2
+
+
+def test_eval_rejects_non_string_key_vectors(tmp_path, capsys):
+    key_file = tmp_path / "k.json"
+    run(["keygen", "--q", "2", "--n", "2", "--delta", "1", "--seed", "1", "--out", str(key_file)])
+    doc = json.loads(key_file.read_text())
+    doc["V"] = [[0, 1], [1, 0], [1, 1]]
+    key_file.write_text(json.dumps(doc))
+    matrix_file = tmp_path / "m.txt"
+    matrix_file.write_text(matrix_to_text(identity(2)))
+    assert run(["eval", str(key_file), str(matrix_file)]) == 2
+    assert "expected a string" in capsys.readouterr().err
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_perm_stats", boom)
+    assert run(["perm-stats", "--k", "2"]) == 4
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
 
 def test_invert_not_in_image_exit_code(tmp_path):

@@ -6,8 +6,16 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import MODULI, matrices, reference_mat_mul, reference_mat_vec, vectors
+from conftest import (
+    MODULI,
+    matrices,
+    reference_enumerate_invertible,
+    reference_mat_mul,
+    reference_mat_vec,
+    vectors,
+)
 from mvowf.field import (
+    Echelon,
     EnumerationCapError,
     NoSolutionError,
     SingularMatrixError,
@@ -117,6 +125,26 @@ def test_solve_linear_reproduces_targets():
             assert solve_linear(vs, ws, q) == m
 
 
+@st.composite
+def invertible_constraints(draw):
+    """(vs, ws, q): some columns of a random invertible X, possibly repeated or combined."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 4))
+    rng = Random(draw(st.integers(0, 2**32)))
+    x = random_invertible(n, q, rng)
+    vs = [random_vector(n, q, rng) for _ in range(draw(st.integers(1, n + 2)))]
+    return vs, [mat_vec(x, v, q) for v in vs], q
+
+
+@given(invertible_constraints())
+@settings(max_examples=150)
+def test_solve_linear_invertible_satisfies_constraints(inputs):
+    vs, ws, q = inputs
+    x = solve_linear_invertible(vs, ws, q)
+    assert is_invertible(x, q)
+    assert [mat_vec(x, v, q) for v in vs] == ws
+
+
 def test_solve_linear_invertible_completes():
     x = solve_linear_invertible([(1, 0, 0)], [(0, 1, 0)], 2)
     assert rank(x, 2) == 3
@@ -124,6 +152,38 @@ def test_solve_linear_invertible_completes():
     with pytest.raises(NoSolutionError):
         # independent sources, equal images: forces a singular map
         solve_linear_invertible([(1, 0), (0, 1)], [(1, 1), (1, 1)], 2)
+    with pytest.raises(NoSolutionError):
+        # underdetermined, but v_2 = 2 v_1 and w_2 != 2 w_1
+        solve_linear_invertible([(1, 0, 0), (2, 0, 0)], [(0, 1, 0), (0, 1, 0)], 3)
+    with pytest.raises(NoSolutionError):
+        # underdetermined, independent sources with dependent images
+        solve_linear_invertible([(1, 0, 0), (0, 1, 0)], [(0, 1, 0), (0, 2, 0)], 3)
+
+
+# one matrix per modulus with an entry outside [0, q): read mod q, the q = 2
+# one is singular, and at q = 3 the entry 3 has no inverse
+OUT_OF_RANGE = {2: ((2, 0), (0, 1)), 3: ((3, 0), (0, 1))}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, q: rank(m, q),
+        lambda m, q: is_invertible(m, q),
+        lambda m, q: mat_inverse(m, q),
+        lambda m, q: solve_linear(m, identity(2), q),
+        lambda m, q: solve_linear(identity(2), m, q),
+    ],
+    ids=["rank", "is_invertible", "mat_inverse", "solve_linear-sources", "solve_linear-targets"],
+)
+def test_out_of_range_entries_rejected(call, q):
+    with pytest.raises(ValueError, match="out of range") as exc:
+        call(OUT_OF_RANGE[q], q)
+    assert not isinstance(exc.value, SingularMatrixError)
+    for bad in ((1, -1), (0, q + 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            call((bad, (0, 1)), q)
 
 
 def test_random_invertible_gl1_f2():
@@ -207,6 +267,11 @@ def test_enumerate_invertible_distinct_and_invertible():
         assert m not in seen
         seen.add(m)
         assert is_invertible(m, 3)
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 5)])
+def test_enumerate_invertible_matches_reference_order(n, q):
+    assert list(enumerate_invertible(n, q)) == list(reference_enumerate_invertible(n, q))
 
 
 def test_enumeration_cap():
@@ -300,3 +365,42 @@ def test_mat_vecs_empty_batch_and_mismatch():
             mat_vec(identity(2), (1, 0, 0), q)
         with pytest.raises(ValueError):
             mat_mul(identity(2), identity(3), q)
+
+
+# -- the incremental echelon --------------------------------------------------
+
+
+@given(st.sampled_from(MODULI), st.integers(1, 6), st.integers(0, 8), st.data())
+@settings(max_examples=200)
+def test_echelon_rank_and_undo(q, n, k, data):
+    m = data.draw(matrices(q, k, n)) if k else ()
+    echelon = Echelon(q, n)
+    states = [list(echelon.pivots)]
+    for row in m:
+        before = list(echelon.pivots)
+        if echelon.push(echelon.pack(row)):
+            states.append(list(echelon.pivots))
+        else:
+            assert echelon.pivots == before  # a dependent row changes nothing
+    assert len(echelon) == (rank(m, q) if m else 0)
+    assert sorted(echelon.columns()) == sorted(set(echelon.columns()))
+    while states:
+        assert echelon.pivots == states.pop()
+        if states:
+            echelon.pop()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_echelon_augmented_rows(q):
+    # pivots lie in the head; a row whose head reduces to zero is dependent
+    # however its tail reads, and the tail follows every row operation
+    echelon = Echelon(q, 2, 2)
+    assert echelon.push(echelon.pack((1, 1, 1, 0)))
+    assert not echelon.push(echelon.pack((1, 1, 0, 1)))
+    row = echelon.reduce(echelon.pack((1, 1, 0, 1)))
+    assert row < echelon.bound and row != echelon.zero
+    assert echelon.tail(row) == Echelon(q, 2).pack(((q - 1) % q, 1))
+    assert echelon.reduce(echelon.pack((1, 1, 1, 0))) == echelon.zero
+    assert echelon.columns() == [0]
+    with pytest.raises(ValueError, match="out of range"):
+        echelon.pack((q, 0, 0, 0))

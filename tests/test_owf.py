@@ -5,14 +5,16 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import MODULI, matrices, reference_mat_vec
+from conftest import MODULI, matrices, reference_iter_matchings, reference_mat_vec
 from mvowf.field import (
     SingularMatrixError,
     enumerate_invertible,
     identity,
     mat_mul,
     mat_vec,
+    mat_vecs,
     random_invertible,
+    random_vector,
     rank,
 )
 from mvowf.owf import (
@@ -26,6 +28,7 @@ from mvowf.owf import (
     invert_backtracking,
     invert_exhaustive,
     is_injective,
+    iter_matchings,
     keygen,
     orbit_randomize,
     self_reduce,
@@ -356,3 +359,48 @@ def test_evaluate_rejects_out_of_range_entries(q, bad):
         with pytest.raises(ValueError, match="out of range") as exc:
             call()
         assert not isinstance(exc.value, SingularMatrixError)
+
+
+# -- the matching engine against the per-node-rescan reference ---------------
+
+
+@st.composite
+def matching_searches(draw):
+    """(src, dst, q, n, enumerate_completions); dst is src, an image of src, or random."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 4))
+    rng = Random(draw(st.integers(0, 2**32)))
+    src = [random_vector(n, q, rng) for _ in range(draw(st.integers(1, n + 6)))]
+    kind = draw(st.sampled_from(["self", "image", "random"]))
+    if kind == "self":
+        dst = src
+    elif kind == "image":
+        dst = sorted(mat_vecs(random_invertible(n, q, rng), src, q))
+    else:
+        dst = [random_vector(n, q, rng) for _ in src]
+    return src, dst, q, n, draw(st.booleans())
+
+
+def _run_search(search, src, dst, q, n, completions, budget, **kwargs):
+    """(yields, finished): the matrices yielded before the end or the budget."""
+    out = []
+    try:
+        for m in search(src, dst, q, n, node_budget=budget, enumerate_completions=completions, **kwargs):
+            out.append(m)
+    except BudgetExceededError:
+        return out, False
+    return out, True
+
+
+@given(matching_searches())
+@settings(max_examples=300)
+def test_iter_matchings_matches_reference(search):
+    stats = {}
+    expected = _run_search(reference_iter_matchings, *search, 3000, stats=stats)
+    assert _run_search(iter_matchings, *search, 3000) == expected
+    if expected[1]:
+        # same node count: the reference's count suffices and one less does not
+        nodes = stats["nodes"]
+        assert _run_search(iter_matchings, *search, nodes) == expected
+        if nodes:
+            assert not _run_search(iter_matchings, *search, nodes - 1)[1]
