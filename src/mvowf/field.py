@@ -11,25 +11,25 @@ popcount(row_i & v).  For q > 2 column j of M is one int holding M[i][j] in
 lane i, each lane w = (n (q-1)^2).bit_length() bits wide for an M with n
 columns; M v is the sum of v_j times column j, and since no lane can exceed
 n (q-1)^2 no lane carries into the next, so coordinate i is lane i mod q.
-`rank` and `mat_inverse` use the same int-packed rows at q = 2 (XOR row
-ops).
 
-`Echelon` is the one incremental elimination: `push` reduces a row against
-the pivots so far and records it as a new pivot unless it is dependent, and
-`pop` undoes the latest push.  It runs under the matching search
-(`owf.iter_matchings`), `enumerate_invertible` and `solve_linear_invertible`.
-A row may carry `extra` coordinates after its n head coordinates, the right
-hand side of an augmented system: pivots lie in the head only, and a row
-counts as dependent when its head reduces to zero.  At q = 2 a row is one
-int with coordinate 0 at the top bit, so XOR is the row operation and a
-pivot's top bit is its column; at q > 2 a row is a tuple, and each pivot is
-normalised to 1 at its column.  Either way packed rows compare like the
-vectors they pack (index 0 most significant), so a row's head is zero
-exactly when the row lies below `Echelon.bound`.
+`Echelon` is the one elimination: `push` reduces a row against the pivots so
+far and records it as a new pivot unless it is dependent, and `pop` undoes
+the latest push.  It runs under every routine that eliminates: `rank`,
+`solve_linear` (and `mat_inverse`, which solves for the unit vectors),
+`solve_linear_invertible`, `complete_basis`, `enumerate_invertible` and the
+matching search (`owf.iter_matchings`).  A row may carry `extra`
+coordinates after its n head coordinates, the right hand side of an
+augmented system: pivots lie in the head only, and a row counts as
+dependent when its head reduces to zero.  At q = 2 a row is one int with
+coordinate 0 at the top bit, so XOR is the row operation and a pivot's top
+bit is its column; at q > 2 a row is a tuple, and each pivot is normalised
+to 1 at its column.  Either way packed rows compare like the vectors they
+pack (index 0 most significant), so a row's head is zero exactly when the
+row lies below `Echelon.bound`.
 
-Every routine that reads entries (`rank`, `mat_inverse`, `solve_linear`,
-`Echelon.pack`, `check_entries`) rejects one outside [0, q) with
-ValueError, at the step that already visits it.
+Every routine that reads entries (`Echelon.pack`, and so `rank`,
+`mat_inverse` and `solve_linear`, and `check_entries`) rejects one outside
+[0, q) with ValueError, at the step that already visits it.
 """
 
 from __future__ import annotations
@@ -106,15 +106,6 @@ def check_entries(rows: Sequence[Vector], q: int, what: str) -> None:
         raise ValueError(f"{what} entry out of range for q = {q}")
 
 
-def _rows_in_range(rows: Sequence[Vector], q: int) -> list[list[int]]:
-    """Rows copied to lists; ValueError when an entry lies outside [0, q)."""
-    get = _digits(q).__getitem__
-    try:
-        return [list(map(get, row)) for row in rows]
-    except KeyError as e:
-        raise ValueError(f"entry {e.args[0]!r} out of range for q = {q}") from None
-
-
 def scalar_inv(a: int, q: int) -> int:
     if a % q == 0:
         raise ZeroDivisionError("no inverse of 0")
@@ -134,6 +125,7 @@ def is_zero_vector(a: Vector) -> bool:
     return not any(a)
 
 
+@lru_cache(maxsize=None)
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -189,46 +181,23 @@ def _pack(v: Vector) -> int:
     return x
 
 
-def _unpack(x: int, n: int) -> Vector:
-    return tuple((x >> j) & 1 for j in range(n))
-
-
 def _pack_rows(m: Matrix) -> list[int]:
     return [_pack(row) for row in m]
 
 
-def _rank_f2(rows: list[int]) -> int:
-    pivots: list[int] = []
-    for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-    return len(pivots)
+# -- rank, inverse and linear systems, each one Echelon ----------------------
 
 
 def rank(m: Matrix, q: int) -> int:
-    """Row rank by Gaussian elimination."""
-    if q == 2:
-        return _rank_f2(_pack_rows(m))
-    work = _rows_in_range(m, q)
-    rows, cols = len(work), len(work[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = scalar_inv(work[r][c], q)
-        work[r] = [(x * inv) % q for x in work[r]]
-        for i in range(rows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [(x - f * y) % q for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == rows:
+    """Row rank: the rows pushed onto one Echelon, stopping at full rank."""
+    if not m:
+        return 0
+    echelon = Echelon(q, len(m[0]))
+    rows = [echelon.pack(row) for row in m]  # range-checks every entry
+    for row in rows:
+        if echelon.push(row) and len(echelon) == echelon.n:
             break
-    return r
+    return len(echelon)
 
 
 def is_invertible(m: Matrix, q: int) -> bool:
@@ -236,41 +205,14 @@ def is_invertible(m: Matrix, q: int) -> bool:
 
 
 def mat_inverse(m: Matrix, q: int) -> Matrix:
-    """Inverse by Gauss-Jordan; raises SingularMatrixError when rank < n."""
+    """The X with X (column j of M) = e_j; raises SingularMatrixError when rank < n."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    if q == 2:
-        # augmented rows packed as one int: low n bits matrix, high n bits identity
-        work = [_pack(row) | (1 << (n + i)) for i, row in enumerate(m)]
-        r = 0
-        for c in range(n):
-            piv = next((i for i in range(r, n) if (work[i] >> c) & 1), None)
-            if piv is None:
-                raise SingularMatrixError("matrix is singular over F_2")
-            work[r], work[piv] = work[piv], work[r]
-            for i in range(n):
-                if i != r and (work[i] >> c) & 1:
-                    work[i] ^= work[r]
-            r += 1
-        return tuple(_unpack(work[i] >> n, n) for i in range(n))
-    work = [
-        row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(_rows_in_range(m, q))
-    ]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if work[i][c]), None)
-        if piv is None:
-            raise SingularMatrixError(f"matrix is singular over F_{q}")
-        work[r], work[piv] = work[piv], work[r]
-        inv = scalar_inv(work[r][c], q)
-        work[r] = [(x * inv) % q for x in work[r]]
-        for i in range(n):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [(x - f * y) % q for x, y in zip(work[i], work[r])]
-        r += 1
-    return tuple(tuple(row[n:]) for row in work)
+    try:
+        return solve_linear(transpose(m), identity(n), q)
+    except (NoSolutionError, UnderdeterminedError):
+        raise SingularMatrixError(f"matrix is singular over F_{q}") from None
 
 
 def solve_linear(vs: Sequence[Vector], ws: Sequence[Vector], q: int) -> Matrix:
@@ -279,38 +221,45 @@ def solve_linear(vs: Sequence[Vector], ws: Sequence[Vector], q: int) -> Matrix:
     Raises NoSolutionError when the constraints are inconsistent and
     UnderdeterminedError when the v_i do not span F_q^n (no unique X).
     """
+    if not vs and not ws:
+        raise UnderdeterminedError("no constraints")
+    rows, packed = _constraint_rows(vs, ws, q)
+    for row in packed:
+        if not rows.push(row) and rows.reduce(row) != rows.zero:
+            raise NoSolutionError("inconsistent constraints")
+    if len(rows) < rows.n:
+        raise UnderdeterminedError(f"constraints span only {len(rows)} of {rows.n} dimensions")
+    return _solution(rows)
+
+
+def _constraint_rows(vs: Sequence[Vector], ws: Sequence[Vector], q: int) -> tuple[Echelon, list]:
+    """An empty Echelon(q, n, n) and the rows (v_i | w_i) packed for it.
+
+    Every row is packed, so range-checked, before any can prove the system
+    inconsistent.
+    """
     if len(vs) != len(ws):
         raise ValueError("need equally many constraint and target vectors")
-    if not vs:
-        raise UnderdeterminedError("no constraints")
     n = len(vs[0])
-    # eliminate on rows [v_i | w_i]; X e_j = (reduced w of pivot row j)
-    work = [v + w for v, w in zip(_rows_in_range(vs, q), _rows_in_range(ws, q))]
-    pivot_col: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = scalar_inv(work[r][c], q)
-        work[r] = [(x * inv) % q for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [(x - f * y) % q for x, y in zip(work[i], work[r])]
-        pivot_col.append(c)
-        r += 1
-    for i in range(r, len(work)):
-        if any(work[i][n:]):
-            raise NoSolutionError("inconsistent constraints")
-    if r < n:
-        raise UnderdeterminedError(f"constraints span only {r} of {n} dimensions")
-    # after full-rank RREF the pivot rows read e_c | (column c of X)
-    cols = [None] * n
-    for i, c in enumerate(pivot_col):
-        cols[c] = work[i][n:]
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    if any(len(x) != n for x in chain(vs, ws)):
+        raise ValueError("constraint and target vectors differ in length")
+    rows = Echelon(q, n, n)
+    return rows, [rows.pack((*v, *w)) for v, w in zip(vs, ws)]
+
+
+def _solution(rows: Echelon) -> Matrix:
+    """The X with X v = w for every row (v | w) of rows, an Echelon(q, n, n) with n pivots.
+
+    Every pivot is (v | X v) and the pivots' heads span F_q^n, so (-e_j | 0)
+    reduces to (0 | X e_j): column j of X.
+    """
+    n = rows.n
+    zeros = (0,) * n
+    cols = []
+    for j in range(n):
+        neg_unit = zeros[:j] + (rows.q - 1,) + zeros[j + 1 :]
+        cols.append(rows.unpack(rows.reduce(rows.pack(neg_unit + zeros)))[n:])
+    return tuple(zip(*cols))
 
 
 # -- incremental echelon -----------------------------------------------------
@@ -341,7 +290,14 @@ class Echelon:
         return len(self.pivots)
 
     def pack(self, v: Vector):
-        return tuple(_rows_in_range((v,), self.q)[0])
+        try:
+            return tuple(map(_digits(self.q).__getitem__, v))
+        except KeyError as e:
+            raise ValueError(f"entry {e.args[0]!r} out of range for q = {self.q}") from None
+
+    def unpack(self, row) -> Vector:
+        """The vector that pack(vector) == row."""
+        return row
 
     def reduce(self, row):
         """row minus the multiples of the pivots that clear their columns."""
@@ -415,6 +371,9 @@ class _PackedEchelon(Echelon):
             x = x << 1 | e
         return x
 
+    def unpack(self, row: int) -> Vector:
+        return tuple(map(int, format(row, f"0{self.width}b")))
+
     def reduce(self, row: int) -> int:
         for p, top in self.pivots:
             if row & top:
@@ -451,19 +410,11 @@ def solve_linear_invertible(vs: Sequence[Vector], ws: Sequence[Vector], q: int) 
     Raises NoSolutionError when the constraints are inconsistent or force a
     singular map (independent v_i with dependent images).
     """
-    try:
-        unique = solve_linear(vs, ws, q)
-    except UnderdeterminedError:
-        pass
-    else:
-        if rank(unique, q) != len(unique):
-            raise NoSolutionError("constraints force a singular map")
-        return unique
-    n = len(vs[0])
-    rows = Echelon(q, n, n)  # [v | w]
+    rows, packed = _constraint_rows(vs, ws, q)
+    n = rows.n
     images = Echelon(q, n)  # the w-parts of the pivots: dependence means X singular
-    for v, w in zip(vs, ws):
-        row = rows.reduce(rows.pack((*v, *w)))
+    for row in packed:
+        row = rows.reduce(row)
         if row < rows.bound:
             if row != rows.zero:
                 raise NoSolutionError("inconsistent constraints")
@@ -472,17 +423,20 @@ def solve_linear_invertible(vs: Sequence[Vector], ws: Sequence[Vector], q: int) 
             raise NoSolutionError("constraints force a singular map")
         rows.push(row)
     # unit vectors off the pivot columns complete the v_i to a basis; give
-    # each the lexicographically first image that keeps X invertible
-    extra: list[tuple[Vector, Vector]] = []
+    # each the lexicographically first image that keeps X invertible: the
+    # highest-index unit vector e_i outside the span of the images so far,
+    # since every vector before e_i in lex order lies in the span of the
+    # later unit vectors, which the images already span
+    units = identity(n)
     taken = set(rows.columns())
     for j in range(n):
         if j in taken:
             continue
-        for y in enumerate_vectors(n, q):
+        for y in reversed(units):
             if images.push(images.pack(y)):
-                extra.append((tuple(1 if i == j else 0 for i in range(n)), y))
+                rows.push(rows.pack(units[j] + y))
                 break
-    return solve_linear(list(vs) + [p[0] for p in extra], list(ws) + [p[1] for p in extra], q)
+    return _solution(rows)
 
 
 def random_vector(n: int, q: int, rng: Random) -> Vector:
@@ -506,14 +460,15 @@ def random_invertible(n: int, q: int, rng: Random) -> Matrix:
 
 def complete_basis(vectors: Sequence[Vector], n: int, q: int) -> Matrix:
     """Extend independent vectors to a basis; returns the matrix with those columns."""
-    basis: list[Vector] = list(vectors)
-    if basis and rank(tuple(basis), q) != len(basis):
+    echelon = Echelon(q, n)
+    rows = [echelon.pack(v) for v in vectors]  # range-checks every entry
+    if not all(map(echelon.push, rows)):
         raise ValueError("input vectors are dependent")
-    for j in range(n):
+    basis = list(vectors)
+    for e in identity(n):
         if len(basis) == n:
             break
-        e = tuple(1 if i == j else 0 for i in range(n))
-        if rank(tuple(basis) + (e,), q) > len(basis):
+        if echelon.push(echelon.pack(e)):
             basis.append(e)
     return tuple(tuple(basis[j][i] for j in range(len(basis))) for i in range(n))
 

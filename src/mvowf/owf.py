@@ -206,11 +206,16 @@ def iter_matchings(
             yield solve_from_pairs([])
             return
 
+        # when one completion is wanted, the lex-first image outside the span
+        # is the highest-index unit vector outside it (see
+        # field.solve_linear_invertible), so only unit vectors are tried
+        units = identity(n)[::-1]
+
         def choose(idx: int, extra: list[tuple[Vector, Vector]]) -> Iterator[Matrix]:
             if idx == len(free_sources):
                 yield solve_from_pairs(extra)
                 return
-            for y in enumerate_vectors(n, q):
+            for y in enumerate_vectors(n, q) if enumerate_completions else units:
                 if not images.push(images.pack(y)):
                     continue
                 charge()

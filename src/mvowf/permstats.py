@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .field import Vector, inner_product, mat_vecs, random_invertible, random_vector, rank
+from .field import Vector, inner_product, mat_vecs, random_invertible, random_vector, rank, validate_modulus
 from .rng import spawn_rng
 
 Poly = tuple[Fraction, ...]
@@ -147,6 +147,9 @@ def signature_ambiguity_experiment(
     n: int, m: int, q: int, trials: int, seed: int
 ) -> SignatureAmbiguity:
     """Sample (V, M, G); measure how many shuffles of M*V preserve signatures."""
+    validate_modulus(q)
+    if n < 1 or m < 1:
+        raise ValueError(f"need n >= 1 and m >= 1, got n = {n}, m = {m}")
     size = projection_family_size(m)
     total = 0
     worst = 0

@@ -3,7 +3,13 @@ from random import Random
 
 from hypothesis import settings, strategies as st
 
-from mvowf.field import enumerate_vectors, rank, scalar_inv, solve_linear
+from mvowf.field import (
+    NoSolutionError,
+    SingularMatrixError,
+    UnderdeterminedError,
+    enumerate_vectors,
+    scalar_inv,
+)
 from mvowf.graphs import SimpleGraph
 from mvowf.owf import BudgetExceededError
 
@@ -56,6 +62,203 @@ def matrices(q, rows, cols):
     return st.lists(vectors(q, cols), min_size=rows, max_size=rows).map(tuple)
 
 
+# -- reference eliminations: the Gauss-Jordan loops that field.Echelon
+# replaced in rank, mat_inverse and solve_linear, kept as the differential
+# oracle, and the completions built on them
+
+
+def _reference_rows_in_range(rows, q):
+    """Rows copied to lists; ValueError when an entry lies outside [0, q)."""
+    digits = {a: a for a in range(q)}
+    try:
+        return [list(map(digits.__getitem__, row)) for row in rows]
+    except KeyError as e:
+        raise ValueError(f"entry {e.args[0]!r} out of range for q = {q}") from None
+
+
+def _reference_pack(v):
+    x = 0
+    for j, e in enumerate(v):
+        if e:
+            if e != 1:
+                raise ValueError(f"entry {e!r} out of range for q = 2")
+            x |= 1 << j
+    return x
+
+
+def _reference_unpack(x, n):
+    return tuple((x >> j) & 1 for j in range(n))
+
+
+def _reference_rank_f2(rows):
+    pivots = []
+    for row in rows:
+        for p in pivots:
+            row = min(row, row ^ p)
+        if row:
+            pivots.append(row)
+    return len(pivots)
+
+
+def reference_rank(m, q):
+    """Row rank by Gaussian elimination."""
+    if q == 2:
+        return _reference_rank_f2([_reference_pack(row) for row in m])
+    work = _reference_rows_in_range(m, q)
+    rows, cols = len(work), len(work[0])
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = scalar_inv(work[r][c], q)
+        work[r] = [(x * inv) % q for x in work[r]]
+        for i in range(rows):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [(x - f * y) % q for x, y in zip(work[i], work[r])]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def reference_mat_inverse(m, q):
+    """Inverse by Gauss-Jordan; raises SingularMatrixError when rank < n."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    if q == 2:
+        # augmented rows packed as one int: low n bits matrix, high n bits identity
+        work = [_reference_pack(row) | (1 << (n + i)) for i, row in enumerate(m)]
+        r = 0
+        for c in range(n):
+            piv = next((i for i in range(r, n) if (work[i] >> c) & 1), None)
+            if piv is None:
+                raise SingularMatrixError("matrix is singular over F_2")
+            work[r], work[piv] = work[piv], work[r]
+            for i in range(n):
+                if i != r and (work[i] >> c) & 1:
+                    work[i] ^= work[r]
+            r += 1
+        return tuple(_reference_unpack(work[i] >> n, n) for i in range(n))
+    work = [
+        row + [1 if i == j else 0 for j in range(n)]
+        for i, row in enumerate(_reference_rows_in_range(m, q))
+    ]
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, n) if work[i][c]), None)
+        if piv is None:
+            raise SingularMatrixError(f"matrix is singular over F_{q}")
+        work[r], work[piv] = work[piv], work[r]
+        inv = scalar_inv(work[r][c], q)
+        work[r] = [(x * inv) % q for x in work[r]]
+        for i in range(n):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [(x - f * y) % q for x, y in zip(work[i], work[r])]
+        r += 1
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def reference_solve_linear(vs, ws, q):
+    """Return the unique n x n matrix X with X v_i = w_i for all i.
+
+    Raises NoSolutionError when the constraints are inconsistent and
+    UnderdeterminedError when the v_i do not span F_q^n (no unique X).
+    """
+    if len(vs) != len(ws):
+        raise ValueError("need equally many constraint and target vectors")
+    if not vs:
+        raise UnderdeterminedError("no constraints")
+    n = len(vs[0])
+    # eliminate on rows [v_i | w_i]; X e_j = (reduced w of pivot row j)
+    work = [
+        v + w for v, w in zip(_reference_rows_in_range(vs, q), _reference_rows_in_range(ws, q))
+    ]
+    pivot_col = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = scalar_inv(work[r][c], q)
+        work[r] = [(x * inv) % q for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [(x - f * y) % q for x, y in zip(work[i], work[r])]
+        pivot_col.append(c)
+        r += 1
+    for i in range(r, len(work)):
+        if any(work[i][n:]):
+            raise NoSolutionError("inconsistent constraints")
+    if r < n:
+        raise UnderdeterminedError(f"constraints span only {r} of {n} dimensions")
+    # after full-rank RREF the pivot rows read e_c | (column c of X)
+    cols = [None] * n
+    for i, c in enumerate(pivot_col):
+        cols[c] = work[i][n:]
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+def reference_complete_basis(vectors, n, q):
+    """Extend independent vectors to a basis, one rank computation per candidate."""
+    basis = list(vectors)
+    if basis and reference_rank(tuple(basis), q) != len(basis):
+        raise ValueError("input vectors are dependent")
+    for j in range(n):
+        if len(basis) == n:
+            break
+        e = tuple(1 if i == j else 0 for i in range(n))
+        if reference_rank(tuple(basis) + (e,), q) > len(basis):
+            basis.append(e)
+    return tuple(tuple(basis[j][i] for j in range(len(basis))) for i in range(n))
+
+
+def reference_solve_linear_invertible(vs, ws, q):
+    """Some invertible X with X v_i = w_i, by rank tests and a scan of all q^n images.
+
+    The sources are completed by the unit vectors off the pivot columns of
+    their row space, in ascending order; each gets the lexicographically
+    first image outside the span of the images so far.  Column j is a pivot
+    column when it raises the rank of the sources cut to columns 0..j.
+    """
+    try:
+        unique = reference_solve_linear(vs, ws, q)
+    except UnderdeterminedError:
+        pass
+    else:
+        if reference_rank(unique, q) != len(unique):
+            raise NoSolutionError("constraints force a singular map")
+        return unique
+    n = len(vs[0])
+    r = reference_rank(vs, q)
+    if reference_rank([v + w for v, w in zip(vs, ws)], q) != r:
+        raise NoSolutionError("inconsistent constraints")
+    images = list(ws)
+    if reference_rank(images, q) != r:
+        raise NoSolutionError("constraints force a singular map")
+    pivots = [
+        j
+        for j in range(n)
+        if reference_rank([v[: j + 1] for v in vs], q) > reference_rank([v[:j] for v in vs], q)
+    ]
+    extra_vs = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        for y in enumerate_vectors(n, q):
+            if reference_rank(images + [y], q) > reference_rank(images, q):
+                images.append(y)
+                extra_vs.append(tuple(1 if i == j else 0 for i in range(n)))
+                break
+    return reference_solve_linear(list(vs) + extra_vs, images, q)
+
+
 # -- reference re-check: the per-candidate loop that hardcore._agreements
 # replaced, one parity bit at a time
 
@@ -86,7 +289,7 @@ def reference_enumerate_invertible(n, q):
             return
         r = len(prefix)
         for row in all_rows:
-            if rank(tuple(prefix) + (row,), q) == r + 1:
+            if reference_rank(tuple(prefix) + (row,), q) == r + 1:
                 yield from build(prefix + [row])
 
     yield from build([])
@@ -154,7 +357,7 @@ def reference_iter_matchings(
     def solve_from_pairs(extra):
         vs = [p[0] for p in pairs] + [p[0] for p in extra]
         ws = [p[1] for p in pairs] + [p[1] for p in extra]
-        return solve_linear(vs, ws, q)
+        return reference_solve_linear(vs, ws, q)
 
     def complete(free_sources):
         if not free_sources:

@@ -213,11 +213,28 @@ def test_negative_budget_rejected(args):
     assert _usage_exit_code(args + ["--budget", "-1"]) == 2
 
 
-def test_python_dash_m_runs_cli():
+def _python_m(args):
+    """`python -m mvowf args` in a fresh interpreter, stopped after 60 s."""
     src = str(Path(mvowf.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "mvowf", "--help"], env=env, capture_output=True, text=True, timeout=60
+    return subprocess.run(
+        [sys.executable, "-m", "mvowf", *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def test_python_dash_m_runs_cli():
+    done = _python_m(["--help"])
     assert done.returncode == 0, done.stderr
     assert "hardcore-trace" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "n, m, q, code",
+    [("-2", "4", "2", 2), ("0", "4", "2", 2), ("3", "0", "2", 2), ("3", "4", "4", 2), ("3", "1", "3", 0)],
+    ids=["negative-n", "zero-n", "zero-m", "composite-q", "no-projections-q3"],
+)
+def test_ig_stats_validates_arguments(n, m, q, code):
+    # a negative n used to loop for ever, so each run has a timeout
+    done = _python_m(["ig-stats", "--n", n, "--m", m, "--q", q, "--trials", "3", "--seed", "1"])
+    assert done.returncode == code, done.stderr
+    assert "internal error" not in done.stderr

@@ -1,5 +1,6 @@
 """Field arithmetic and dense linear algebra over F_q."""
 
+import time
 from collections import Counter
 from random import Random
 
@@ -9,9 +10,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     MODULI,
     matrices,
+    reference_complete_basis,
     reference_enumerate_invertible,
+    reference_mat_inverse,
     reference_mat_mul,
     reference_mat_vec,
+    reference_rank,
+    reference_solve_linear,
+    reference_solve_linear_invertible,
     vectors,
 )
 from mvowf.field import (
@@ -91,6 +97,8 @@ def test_rank_examples():
     assert rank(((0, 0), (0, 0)), 2) == 0
     assert rank(identity(4), 2) == 4
     assert rank(((1, 1), (1, 1)), 2) == 1
+    for q in MODULI:
+        assert rank((), q) == 0
 
 
 def test_rank_transpose_agrees():
@@ -111,6 +119,18 @@ def test_solve_linear_examples():
         solve_linear([(1, 0), (1, 0)], [(1, 0), (0, 1)], 2)
     with pytest.raises(UnderdeterminedError):
         solve_linear([(1, 0)], [(1, 0)], 2)
+
+
+@pytest.mark.parametrize("solve", [solve_linear, solve_linear_invertible])
+@pytest.mark.parametrize(
+    "vs, ws",
+    [([(1, 0), (0, 1)], [(1, 0)]), ([(1, 0), (0, 1)], [(1,), (0,)]), ([(1, 0), (0, 1, 1)], [(1, 0), (0, 1)])],
+    ids=["counts", "target-length", "source-length"],
+)
+def test_solvers_reject_mismatched_shapes(solve, vs, ws):
+    with pytest.raises(ValueError) as exc:
+        solve(vs, ws, 3)
+    assert type(exc.value) is ValueError
 
 
 def test_solve_linear_reproduces_targets():
@@ -158,6 +178,18 @@ def test_solve_linear_invertible_completes():
     with pytest.raises(NoSolutionError):
         # underdetermined, independent sources with dependent images
         solve_linear_invertible([(1, 0, 0), (0, 1, 0)], [(0, 1, 0), (0, 2, 0)], 3)
+
+
+def test_solve_linear_invertible_completion_is_polynomial():
+    # the completion tries unit vectors only: at q = 251, n = 6 a scan of the
+    # q^n candidate images for the first one outside the span would not end
+    units = identity(6)
+    expected = transpose((units[1], units[2], units[3], units[5], units[4], units[0]))
+    assert reference_solve_linear_invertible(units[:3], units[1:4], 2) == expected
+    start = time.perf_counter()
+    for q in (2, 251):
+        assert solve_linear_invertible(units[:3], units[1:4], q) == expected
+    assert time.perf_counter() - start < 1.0
 
 
 # one matrix per modulus with an entry outside [0, q): read mod q, the q = 2
@@ -382,7 +414,7 @@ def test_echelon_rank_and_undo(q, n, k, data):
             states.append(list(echelon.pivots))
         else:
             assert echelon.pivots == before  # a dependent row changes nothing
-    assert len(echelon) == (rank(m, q) if m else 0)
+    assert len(echelon) == (reference_rank(m, q) if m else 0)
     assert sorted(echelon.columns()) == sorted(set(echelon.columns()))
     while states:
         assert echelon.pivots == states.pop()
@@ -404,3 +436,62 @@ def test_echelon_augmented_rows(q):
     assert echelon.columns() == [0]
     with pytest.raises(ValueError, match="out of range"):
         echelon.pack((q, 0, 0, 0))
+
+
+# -- the eliminations against the Gauss-Jordan references ---------------------
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as e:  # the exception type is part of the compared behaviour
+        return type(e)
+
+
+@st.composite
+def low_rank_matrices(draw, q, k, n):
+    """k x n matrices over F_q of rank at most a drawn r, as (k x r)(r x n) products."""
+    r = draw(st.integers(0, min(k, n)))
+    if r == 0:
+        return ((0,) * n,) * k
+    return reference_mat_mul(draw(matrices(q, k, r)), draw(matrices(q, r, n)), q)
+
+
+@st.composite
+def linear_systems(draw):
+    """(vs, ws, q, n): k x n sources, k in 0..n+2, of drawn rank, with random
+    targets (mostly inconsistent when the sources are dependent) or their
+    images under a random, possibly singular, X."""
+    q = draw(st.sampled_from(MODULI))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n + 2))
+    vs = draw(low_rank_matrices(q, k, n))
+    if draw(st.booleans()):
+        ws = draw(matrices(q, k, n))
+    else:
+        x = draw(low_rank_matrices(q, n, n))
+        ws = tuple(reference_mat_vec(x, v, q) for v in vs)
+    return vs, ws, q, n
+
+
+@given(linear_systems())
+@settings(max_examples=500)
+def test_eliminations_match_references(system):
+    vs, ws, q, n = system
+    # the reference indexes the first row, so a matrix with no rows is checked apart
+    assert rank(vs, q) == (reference_rank(vs, q) if vs else 0)
+    assert outcome(solve_linear, vs, ws, q) == outcome(reference_solve_linear, vs, ws, q)
+    assert outcome(complete_basis, vs, n, q) == outcome(reference_complete_basis, vs, n, q)
+    # the reference scans all q^n images for each completed column
+    if q**n <= 5**6:
+        assert outcome(solve_linear_invertible, vs, ws, q) == outcome(
+            reference_solve_linear_invertible, vs, ws, q
+        )
+
+
+@given(st.sampled_from(MODULI), st.integers(1, 6), st.data())
+@settings(max_examples=300)
+def test_mat_inverse_matches_reference(q, n, data):
+    m = data.draw(low_rank_matrices(q, n, n))
+    assert outcome(mat_inverse, m, q) == outcome(reference_mat_inverse, m, q)

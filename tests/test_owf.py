@@ -1,5 +1,6 @@
 """Key generation, evaluation, injectivity machinery, inversion oracles."""
 
+import time
 from random import Random
 
 import pytest
@@ -10,6 +11,7 @@ from mvowf.field import (
     SingularMatrixError,
     enumerate_invertible,
     identity,
+    is_invertible,
     mat_mul,
     mat_vec,
     mat_vecs,
@@ -404,3 +406,18 @@ def test_iter_matchings_matches_reference(search):
         assert _run_search(iter_matchings, *search, nodes) == expected
         if nodes:
             assert not _run_search(iter_matchings, *search, nodes - 1)[1]
+
+
+def test_single_completion_is_polynomial():
+    # with enumerate_completions=False the free image is found among unit
+    # vectors: at q = 251, n = 6 a scan of the q^n images would not end
+    units = identity(6)
+    src, dst = units[:3], units[1:4]
+    assert _run_search(iter_matchings, src, dst, 2, 6, False, None) == _run_search(
+        reference_iter_matchings, src, dst, 2, 6, False, None
+    )
+    start = time.perf_counter()
+    m = next(iter_matchings(src, dst, 251, 6, enumerate_completions=False))
+    assert time.perf_counter() - start < 1.0
+    assert is_invertible(m, 251)
+    assert sorted(mat_vecs(m, src, 251)) == sorted(dst)
