@@ -473,28 +473,33 @@ def complete_basis(vectors: Sequence[Vector], n: int, q: int) -> Matrix:
     return tuple(tuple(basis[j][i] for j in range(len(basis))) for i in range(n))
 
 
+@lru_cache(maxsize=1024)
+def _basis_with_inverse(u: Vector, q: int) -> tuple[Matrix, Matrix]:
+    """complete_basis([u]) (its first column is u) and the inverse of it."""
+    p = complete_basis([u], len(u), q)
+    return p, mat_inverse(p, q)
+
+
 def random_invertible_mapping(u: Vector, w: Vector, q: int, rng: Random) -> Matrix:
     """Uniform invertible A with A u = w, for nonzero u and w.
 
-    Any fixed A0 with A0 u = w composed with a uniform stabilizer element
-    {S : S u = u} gives the uniform distribution on the coset.
+    With P_u, P_w bases whose first columns are u and w, A = P_w T P_u^-1
+    for a uniform invertible T with first column e_1: that is the fixed map
+    P_w P_u^-1 composed with the uniform stabilizer element P_u T P_u^-1 of
+    u, so A is uniform on the coset.  The bases are cached per (u, q).
     """
     if is_zero_vector(u) or is_zero_vector(w):
         raise ValueError("u and w must be nonzero")
     n = len(u)
-    p_u = complete_basis([u], n, q)
-    p_w = complete_basis([w], n, q)
-    p_u_inv = mat_inverse(p_u, q)
-    a0 = mat_mul(p_w, p_u_inv, q)
-    # stabilizer of e1 (first column fixed), conjugated back through p_u
+    p_u, p_u_inv = _basis_with_inverse(tuple(u), q)
+    p_w, _ = _basis_with_inverse(tuple(w), q)
     while True:
         cols = [tuple(1 if i == 0 else 0 for i in range(n))]
         cols += [random_vector(n, q, rng) for _ in range(n - 1)]
         t = tuple(tuple(col[i] for col in cols) for i in range(n))
         if rank(t, q) == n:
             break
-    s = mat_mul(mat_mul(p_u, t, q), p_u_inv, q)
-    return mat_mul(a0, s, q)
+    return mat_mul(mat_mul(p_w, t, q), p_u_inv, q)
 
 
 def enumerate_vectors(n: int, q: int) -> Iterator[Vector]:

@@ -168,9 +168,14 @@ def estimate_advantage(
 
 # -- list decoding of noisy linear forms -------------------------------------
 
-# Largest float32 array (16 MiB) one block of the decoder's matrix products
-# builds, in the guess correlation and in the survivor re-check alike.
+# Elements of the largest array one block of a decoder's matrix products
+# builds: the guess correlation, the survivor re-check and the scoring of
+# every form in gl_decode_exhaustive.
 _BLOCK_ELEMENTS = 1 << 22
+
+# Largest domain q^k that gl_decode_exhaustive queries point by point
+# instead of sampling; the reductions decode such domains exactly.
+_EXACT_DOMAIN = 1 << 12
 
 
 def _to_bits(x: int, k: int) -> Vector:
@@ -204,34 +209,35 @@ def goldreich_levin_f2(
     nsub = 2**t - 1
 
     refs = [rng.getrandbits(k) for _ in range(t)]
-    sums = [0] * (nsub + 1)
-    for mask in range(1, nsub + 1):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] ^ refs[low.bit_length() - 1]
+    # t <= 16, so masks and guesses fit uint16, which keeps the guess
+    # correlation's index array at a quarter of its int64 size
+    masks = np.arange(1, nsub + 1, dtype=np.uint16)
+    # sums[mask - 1] = bits of the XOR of the refs the mask selects, all
+    # subset sums in one product (entries at most t <= 16, so exact)
+    mask_bits = (masks[:, None] >> np.arange(t)) & 1
+    ref_bits = np.array([_to_bits(r, k) for r in refs], dtype=np.int64)
+    sums = ((mask_bits @ ref_bits) & 1).astype(np.uint8)
 
     votes = np.empty((k, nsub), dtype=np.float32)
     for i in range(k):
-        e_i = 1 << i
-        row = votes[i]
-        for mask in range(1, nsub + 1):
-            row[mask - 1] = oracle(_to_bits(e_i ^ sums[mask], k))
+        sums[:, i] ^= 1  # e_i + each subset sum, in mask order
+        votes[i] = [oracle(x) for x in map(tuple, sums.tolist())]
+        sums[:, i] ^= 1
 
     parity = np.array(
         [x.bit_count() & 1 for x in range(2**t)], dtype=np.uint8
     )
-    masks = np.arange(1, nsub + 1, dtype=np.int64)
     vote_totals = votes.sum(axis=1)
 
     candidates: set[Vector] = set()
     chunk = max(1, _BLOCK_ELEMENTS // nsub)
     for start in range(0, 2**t, chunk):
-        guesses = np.arange(start, min(start + chunk, 2**t), dtype=np.int64)
+        guesses = np.arange(start, min(start + chunk, 2**t), dtype=np.uint16)
         corr = parity[guesses[:, None] & masks[None, :]].astype(np.float32)
         # ones[i, b] = #subsets voting h_i = 1 under guess b
         ones = vote_totals[:, None] + corr.sum(axis=1)[None, :] - 2.0 * (votes @ corr.T)
         hbits = (ones > nsub / 2.0).astype(np.uint8)
-        for col in np.unique(hbits.T, axis=0):
-            candidates.add(tuple(int(bit) for bit in col))
+        candidates.update(map(tuple, np.unique(hbits.T, axis=0).tolist()))
 
     if not candidates:
         return []
@@ -284,18 +290,28 @@ def gl_decode_exhaustive(
     samples: int,
     rng: Random,
 ) -> list[Vector]:
-    """Score every form in F_q^k on sampled points; keep those above 1/q + epsilon/2.
+    """Score every form in F_q^k; keep those above agreement 1/q + epsilon/2.
 
-    Desk-scale stand-in for list decoding over larger fields.
+    When q^k <= _EXACT_DOMAIN the forms are scored against every point of
+    F_q^k, each queried once in enumerate_vectors order: for an oracle that
+    is a fixed function this finds exactly the forms above the threshold,
+    with no sampling error, ignores `samples` and draws nothing from rng.
+    Larger domains are scored on `samples` uniform points, a desk-scale
+    stand-in for list decoding over larger fields.  Forms come out by
+    falling agreement, ties in lexicographic order.
     """
     if q**k > enumeration_cap():
         raise ValueError(f"q^k = {q**k} exceeds enumeration cap")
-    points = [random_vector(k, q, rng) for _ in range(samples)]
+    if q**k <= _EXACT_DOMAIN:
+        points = list(enumerate_vectors(k, q))
+    else:
+        points = [random_vector(k, q, rng) for _ in range(samples)]
     answers = np.array([oracle(p) for p in points], dtype=np.int64)
-    pts = np.array(points, dtype=np.int64).T  # (k, samples)
+    pts = np.array(points, dtype=np.int64).T  # (k, len(points))
     threshold = 1 / q + epsilon / 2
     scored: list[tuple[float, Vector]] = []
     block: list[Vector] = []
+    block_rows = max(1, _BLOCK_ELEMENTS // len(points))
 
     def flush():
         if not block:
@@ -308,11 +324,28 @@ def gl_decode_exhaustive(
 
     for h in enumerate_vectors(k, q):
         block.append(h)
-        if len(block) >= 1 << 14:
+        if len(block) >= block_rows:
             flush()
     flush()
     scored.sort()
     return [h for _, h in scored]
+
+
+def _decode(
+    oracle: Callable[[Vector], int],
+    k: int,
+    q: int,
+    epsilon: float,
+    min_samples: int,
+    rng: Random,
+    confidence: float,
+) -> list[Vector]:
+    """The reductions' list decoder: exact below _EXACT_DOMAIN points, else
+    goldreich_levin_f2 at q = 2 and sampled scoring at q > 2."""
+    if q == 2 and q**k > _EXACT_DOMAIN:
+        return goldreich_levin_f2(oracle, k, epsilon, rng, confidence)
+    samples = max(min_samples, math.ceil(8 * k / (epsilon * epsilon)))
+    return gl_decode_exhaustive(oracle, k, q, epsilon, samples, rng)
 
 
 # -- the trace reduction ------------------------------------------------------
@@ -340,9 +373,12 @@ def trace_invert(
     point is answered once: only its first query builds N, checks its rank
     and, if N is invertible, asks the predictor, whose answer then serves
     every later round too, so the predictor sees at most |GL_n(F_q)| queries.
-    The invertible and singular query counts still count every decoder
-    query.  Candidates are verified through evaluate; nothing unverified is
-    returned.
+    When q^(n^2) <= 2^12 (n <= 3 at q = 2, n = 2 at q <= 7) each round
+    decodes exactly: gl_decode_exhaustive queries every point once and keeps
+    every form above 1/q + alpha epsilon / 2 on that round's extension (see
+    _decode for larger domains).  The invertible and singular query counts
+    count every decoder query.  Candidates are verified through evaluate;
+    nothing unverified is returned.
     """
     n, q = key.n, key.q
     k = n * n
@@ -374,11 +410,7 @@ def trace_invert(
             counts["invertible_queries" if hit[1] else "singular_queries"] += 1
             return hit[0]
 
-        if q == 2:
-            candidates = goldreich_levin_f2(oracle, k, effective, rng, confidence)
-        else:
-            samples = max(400, math.ceil(8 * k / (effective * effective)))
-            candidates = gl_decode_exhaustive(oracle, k, q, effective, samples, rng)
+        candidates = _decode(oracle, k, q, effective, 400, rng, confidence)
         counts["candidates"] += len(candidates)
 
         for h in candidates:
@@ -414,7 +446,8 @@ def bilinear_invert(
     Decoding y -> t(g, y) for each member g of a projection family recovers
     the linear forms <g, M .>, whose values on the key vectors are matched
     against the projections of the image vectors; the surviving within-class
-    assignments are solved and verified exhaustively under a budget.
+    assignments are solved and verified exhaustively under a budget.  When
+    q^n <= 2^12 each decode is exact, every y queried once (see _decode).
     """
     n, q = key.n, key.q
     if not any(a) or not any(b):
@@ -445,11 +478,7 @@ def bilinear_invert(
     row_lists: list[list[Vector]] = []
     for g in family:
         oracle = functools.partial(t_oracle, g)
-        if q == 2:
-            rows = goldreich_levin_f2(oracle, n, epsilon, rng, confidence)
-        else:
-            samples = max(200, math.ceil(8 * n / (epsilon * epsilon)))
-            rows = gl_decode_exhaustive(oracle, n, q, epsilon, samples, rng)
+        rows = _decode(oracle, n, q, epsilon, 200, rng, confidence)
         if not rows:
             if stats is not None:
                 stats.update(counts, family=family, empty_decode=True)

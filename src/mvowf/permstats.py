@@ -150,6 +150,8 @@ def signature_ambiguity_experiment(
     validate_modulus(q)
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n = {n}, m = {m}")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     size = projection_family_size(m)
     total = 0
     worst = 0

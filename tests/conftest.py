@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from random import Random
 
@@ -257,6 +258,68 @@ def reference_solve_linear_invertible(vs, ws, q):
                 extra_vs.append(tuple(1 if i == j else 0 for i in range(n)))
                 break
     return reference_solve_linear(list(vs) + extra_vs, images, q)
+
+
+def reference_random_invertible_mapping(u, w, q, rng):
+    """Uniform invertible A with A u = w, as a0 * s with four matrix products.
+
+    a0 = P_w P_u^-1 maps u to w, and s = P_u T P_u^-1 is a uniform
+    stabilizer element of u, for T uniform in GL_n with first column e_1.
+    """
+    n = len(u)
+    p_u = reference_complete_basis([u], n, q)
+    p_w = reference_complete_basis([w], n, q)
+    p_u_inv = reference_mat_inverse(p_u, q)
+    a0 = reference_mat_mul(p_w, p_u_inv, q)
+    while True:
+        cols = [tuple(1 if i == 0 else 0 for i in range(n))]
+        cols += [tuple(rng.randrange(q) for _ in range(n)) for _ in range(n - 1)]
+        t = tuple(tuple(col[i] for col in cols) for i in range(n))
+        if reference_rank(t, q) == n:
+            break
+    s = reference_mat_mul(reference_mat_mul(p_u, t, q), p_u_inv, q)
+    return reference_mat_mul(a0, s, q)
+
+
+# -- reference decoding: the Goldreich-Levin vote queries one _to_bits tuple
+# at a time, and exact scoring of every form by counting its agreements
+
+
+def reference_gl_vote_queries(k, epsilon, rng, confidence=0.9):
+    """The vote-loop query points of goldreich_levin_f2, in call order.
+
+    Draws the t reference points from rng as the decoder does; then for each
+    coordinate i and each nonempty subset mask of them, e_i plus the subset
+    sum, with bit j of an int at position j.
+    """
+    delta = max(1e-9, 1.0 - confidence)
+    needed = k / (4 * epsilon * epsilon * delta)
+    t = min(16, max(1, math.ceil(math.log2(needed + 1))))
+    refs = [rng.getrandbits(k) for _ in range(t)]
+    sums = [0] * 2**t
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] ^ refs[low.bit_length() - 1]
+    return [
+        tuple(((1 << i) ^ sums[mask]) >> j & 1 for j in range(k))
+        for i in range(k)
+        for mask in range(1, len(sums))
+    ]
+
+
+def reference_exact_decode(answer, k, q, epsilon):
+    """Forms h of F_q^k with <h, x> = answer(x) on at least 1/q + epsilon/2 of
+    all q^k points x, by falling agreement, ties in lexicographic order."""
+    points = list(enumerate_vectors(k, q))
+    answers = [answer(x) for x in points]
+    scored = []
+    for h in enumerate_vectors(k, q):
+        hits = sum(
+            sum(a * b for a, b in zip(h, x)) % q == y for x, y in zip(points, answers)
+        )
+        if hits / len(points) >= 1 / q + epsilon / 2:
+            scored.append((-hits, h))
+    return [h for _, h in sorted(scored)]
 
 
 # -- reference re-check: the per-candidate loop that hardcore._agreements

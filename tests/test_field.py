@@ -5,7 +5,7 @@ from collections import Counter
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     MODULI,
@@ -15,6 +15,7 @@ from conftest import (
     reference_mat_inverse,
     reference_mat_mul,
     reference_mat_vec,
+    reference_random_invertible_mapping,
     reference_rank,
     reference_solve_linear,
     reference_solve_linear_invertible,
@@ -284,6 +285,23 @@ def test_random_invertible_mapping_postcondition():
             assert is_invertible(a, q)
     with pytest.raises(ValueError):
         random_invertible_mapping((0, 0), (1, 0), 2, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5]).flatmap(
+    lambda q: st.integers(1, 5).flatmap(
+        lambda n: st.tuples(st.just(q), vectors(q, n), vectors(q, n), st.integers(0, 2**32))
+    )
+))
+def test_random_invertible_mapping_matches_reference(case):
+    """Equal rng states give equal matrices and leave equal rng states."""
+    q, u, w, seed = case
+    assume(any(u) and any(w))
+    fast, slow = Random(seed), Random(seed)
+    assert random_invertible_mapping(u, w, q, fast) == reference_random_invertible_mapping(
+        u, w, q, slow
+    )
+    assert fast.getstate() == slow.getstate()
 
 
 def test_enumerate_invertible_counts():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_agreements
+from conftest import reference_agreements, reference_exact_decode, reference_gl_vote_queries
 from mvowf import hardcore
 from mvowf.field import (
     enumerate_invertible,
@@ -17,6 +17,7 @@ from mvowf.field import (
     mat_mul,
     mat_inverse,
     mat_vec,
+    mat_vecs,
     random_invertible,
     random_vector,
     transpose,
@@ -34,7 +35,7 @@ from mvowf.hardcore import (
     make_trace_truth,
     trace_invert,
 )
-from mvowf.owf import OwfKey, evaluate, is_injective, keygen
+from mvowf.owf import OwfImage, OwfKey, evaluate, is_injective, keygen
 
 
 def injective_key(q, n, rng, delta=None):
@@ -240,6 +241,25 @@ def test_gl_decode_noisy():
     assert wins >= 9
 
 
+@pytest.mark.parametrize("k, epsilon", [(1, 0.45), (5, 0.45), (20, 0.25), (70, 0.45)])
+def test_gl_vote_queries_match_reference(k, epsilon):
+    """The oracle sees exactly the parent's vote-loop calls, in the same order.
+
+    k = 70 crosses 64 bits.  The queries are tuples of Python ints, so an
+    oracle that hashes or compares them sees what it saw before.
+    """
+    calls = []
+
+    def recording(x):
+        calls.append(x)
+        return sum(x) % 2
+
+    expected = reference_gl_vote_queries(k, epsilon, Random(40 + k))
+    goldreich_levin_f2(recording, k, epsilon, Random(40 + k))
+    assert calls[: len(expected)] == expected
+    assert all(type(bit) is int for x in calls[: len(expected)] for bit in x)
+
+
 @st.composite
 def recheck_inputs(draw):
     """Candidates, check points and answers for the re-check, plus a block size."""
@@ -301,6 +321,73 @@ def test_exhaustive_decode_zero_advantage_oracle():
     assert out == []
 
 
+@st.composite
+def exact_decode_inputs(draw):
+    """A planted form, a noisy memoised oracle of it, and a decoder epsilon."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.integers(1, {2: 8, 3: 5, 5: 3}[q]))
+    h = tuple(draw(st.lists(st.integers(0, q - 1), min_size=k, max_size=k)))
+    p_right = draw(st.floats(0.0, 1.0))
+    epsilon = draw(st.floats(0.01, 1 - 1 / q))
+    noise_seed = draw(st.integers(0, 2**32))
+    block_rows = draw(st.integers(1, 40))
+    samples = draw(st.integers(0, 500))
+    return q, k, h, p_right, epsilon, noise_seed, block_rows, samples
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_decode_inputs())
+def test_exact_decode_matches_reference(inputs):
+    """Below the exact-domain cap every point is asked once and every form scored.
+
+    The output equals a count of each form's agreements over all q^k points,
+    the decoder draws nothing from rng and ignores `samples`, and a planted
+    form agreeing on at least 1/q + epsilon of the domain is always returned.
+    The block budget is shrunk so that most examples score in several blocks.
+    """
+    q, k, h, p_right, epsilon, noise_seed, block_rows, samples = inputs
+    noise = Random(noise_seed)
+    memo: dict = {}
+    calls = []
+
+    def oracle(x):
+        calls.append(x)
+        if x not in memo:
+            value = sum(a * b for a, b in zip(h, x)) % q
+            if noise.random() >= p_right:
+                value = (value + 1 + noise.randrange(q - 1)) % q
+            memo[x] = value
+        return memo[x]
+
+    rng = Random(41)
+    state = rng.getstate()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hardcore, "_BLOCK_ELEMENTS", block_rows * q**k)
+        got = gl_decode_exhaustive(oracle, k, q, epsilon, samples, rng)
+    assert rng.getstate() == state
+    assert len(calls) == q**k and len(set(calls)) == q**k
+    assert got == reference_exact_decode(memo.__getitem__, k, q, epsilon)
+    planted = sum(sum(a * b for a, b in zip(h, x)) % q == y for x, y in memo.items())
+    if planted / q**k >= 1 / q + epsilon:
+        assert h in got
+
+
+def test_exact_decode_at_the_domain_cap():
+    """At q^k = 2^12 every point is asked once; above it the decoder samples."""
+    h = tuple(i % 2 for i in range(12))
+    calls = []
+
+    def oracle(x):
+        calls.append(x)
+        return sum(a * b for a, b in zip(h, x)) % 2
+
+    assert gl_decode_exhaustive(oracle, 12, 2, 0.9, 50, Random(42)) == [h]
+    assert len(calls) == 2**12 == hardcore._EXACT_DOMAIN
+    calls.clear()
+    gl_decode_exhaustive(oracle, 13, 2, 0.9, 50, Random(43))
+    assert len(calls) == 50
+
+
 # -- reductions ---------------------------------------------------------------
 
 
@@ -348,15 +435,40 @@ def test_trace_invert_answers_each_point_once(q, epsilon):
 
 
 def test_trace_invert_later_rounds_reuse_predictor_answers():
-    """Failed rounds redraw the singular points but ask the predictor nothing new."""
+    """Failed rounds redraw the singular points but ask the predictor nothing new.
+
+    The image is the key projected onto its first coordinate, which no
+    invertible matrix gives for a spanning key, so every round must fail.
+    """
     rng = Random(33)
     key = injective_key(2, 2, rng)
-    image = evaluate(key, random_invertible(2, 2, rng))
+    image = OwfImage(tuple(sorted(mat_vecs(((1, 0), (0, 0)), key.vectors, 2))))
     predictor = Predictor(lambda ctx: 0, 0.5, 2)
     stats = {}
     trace_invert(key, image, predictor, 0.5, rng, stats=stats)
     assert stats["rounds"] == 4
     assert predictor.query_count <= gl_order(2, 2)
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (3, 2), (2, 3)])
+def test_trace_invert_decodes_exactly_below_cap(q, n, monkeypatch):
+    """Each round asks the decoder oracle at every point of F_q^(n^2) once.
+
+    The image has no preimage, so every round runs; goldreich_levin_f2 is
+    never called, at q = 2 too.
+    """
+    monkeypatch.setattr(hardcore, "goldreich_levin_f2", None)
+    rng = Random(34)
+    key = injective_key(q, n, rng)
+    projection = tuple(tuple(int(i == j == 0) for j in range(n)) for i in range(n))
+    image = OwfImage(tuple(sorted(mat_vecs(projection, key.vectors, q))))
+    predictor = make_noisy_predictor(lambda ctx: 0, 0.2, q, rng)
+    stats = {}
+    assert trace_invert(key, image, predictor, 0.2, rng, rounds=2, stats=stats) is None
+    assert stats["rounds"] == 2
+    assert stats["invertible_queries"] == 2 * gl_order(n, q)
+    assert stats["invertible_queries"] + stats["singular_queries"] == 2 * q ** (n * n)
+    assert predictor.query_count == gl_order(n, q)
 
 
 def test_trace_invert_q3():
@@ -383,6 +495,23 @@ def test_bilinear_invert_perfect_predictor():
             assert evaluate(key, got) == image
             wins += 1
     assert wins == 8
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3)])
+def test_bilinear_invert_decodes_exactly_below_cap(q, n, monkeypatch):
+    """Each decode asks every nonzero y once: at most |family| (q^n - 1) t-queries."""
+    monkeypatch.setattr(hardcore, "goldreich_levin_f2", None)
+    rng = Random(35)
+    key = keygen(q, n, delta=4, rng=rng)
+    m0 = random_invertible(n, q, rng)
+    image = evaluate(key, m0)
+    a = (1,) + (0,) * (n - 1)
+    b = (0, 1) + (0,) * (n - 2)
+    predictor = make_noisy_predictor(make_bilinear_truth(m0, a, b, q), 1 - 1 / q, q, rng)
+    stats = {}
+    got = bilinear_invert(key, image, predictor, a, b, 1 - 1 / q, rng, stats=stats)
+    assert got is not None and evaluate(key, got) == image
+    assert 0 < stats["t_queries"] <= n * (q**n - 1)
 
 
 def test_bilinear_invert_q3_exhaustive_decode_path():

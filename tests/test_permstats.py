@@ -134,3 +134,9 @@ def test_experiment_deterministic_and_sane():
     assert a.mean >= 1.0  # identity always preserves signatures
     assert a.max >= 1
     assert a.mean_over_sqrt_m == pytest.approx(a.mean / 4.0)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_experiment_rejects_nonpositive_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        signature_ambiguity_experiment(4, 8, 2, trials=trials, seed=1)
