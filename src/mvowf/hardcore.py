@@ -21,7 +21,6 @@ import numpy as np
 
 from .field import (
     Matrix,
-    NoSolutionError,
     Vector,
     enumerate_vectors,
     enumeration_cap,
@@ -34,10 +33,9 @@ from .field import (
     rank,
     random_invertible_mapping,
     random_vector,
-    solve_linear_invertible,
     transpose,
 )
-from .owf import OwfImage, OwfKey, evaluate, transform_image
+from .owf import BudgetExceededError, OwfImage, OwfKey, evaluate, iter_matchings, transform_image
 from .permstats import projection_family_size, sample_projection_family
 
 
@@ -380,6 +378,8 @@ def trace_invert(
     count every decoder query.  Candidates are verified through evaluate;
     nothing unverified is returned.
     """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     n, q = key.n, key.q
     k = n * n
     counts = {"invertible_queries": 0, "singular_queries": 0, "rounds": 0, "candidates": 0}
@@ -444,14 +444,19 @@ def bilinear_invert(
     For each probe pair (x, y) the instance is re-randomized by A, B with
     A^T a = x and B^-1 b = y, so the predictor's answer estimates <x, M y>.
     Decoding y -> t(g, y) for each member g of a projection family recovers
-    the linear forms <g, M .>, whose values on the key vectors are matched
-    against the projections of the image vectors; the surviving within-class
-    assignments are solved and verified exhaustively under a budget.  When
-    q^n <= 2^12 each decode is exact, every y queried once (see _decode).
+    the linear forms <g, M .>.  Each combo of decoded forms h_g gives key
+    vector v the signature (<h_g, v>)_g, and iter_matchings searches only
+    the matchings that map v to an image vector w with the same signature
+    (<g, w>)_g, stopping at its first verified preimage.  The engine's
+    nodes, summed over the combos, count as assignments_tried and stop the
+    search at assignment_budget.  When q^n <= 2^12 each decode is exact,
+    every y queried once (see _decode).
     """
     n, q = key.n, key.q
     if not any(a) or not any(b):
         raise ValueError("predicate vectors a, b must be nonzero")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     t_memo: dict[tuple[Vector, Vector], int] = {}
     counts = {"t_queries": 0, "assignments_tried": 0, "budget_exhausted": False}
 
@@ -485,56 +490,29 @@ def bilinear_invert(
             return None
         row_lists.append(rows)
 
-    actual_sigs: dict[tuple[int, ...], list[int]] = {}
-    for j, w in enumerate(image.vectors):
-        sig = tuple(inner_product(g, w, q) for g in family)
-        actual_sigs.setdefault(sig, []).append(j)
-
+    actual = {w: tuple(inner_product(g, w, q) for g in family) for w in image.vectors}
     result = None
     for combo in itertools.product(*row_lists):
-        claimed_sigs: dict[tuple[int, ...], list[int]] = {}
-        for i, v in enumerate(key.vectors):
-            sig = tuple(inner_product(h, v, q) for h in combo)
-            claimed_sigs.setdefault(sig, []).append(i)
-        if {s: len(ix) for s, ix in claimed_sigs.items()} != {
-            s: len(ix) for s, ix in actual_sigs.items()
-        }:
-            continue
-        sigs = list(claimed_sigs)
-
-        def arrangements(class_idx: int):
-            # lazy product of per-class permutations; itertools.product would
-            # materialize factorial-sized inputs before the budget could bite
-            if class_idx == len(sigs):
-                yield ()
-                return
-            for perm in itertools.permutations(actual_sigs[sigs[class_idx]]):
-                for rest in arrangements(class_idx + 1):
-                    yield (perm,) + rest
-
-        for arrangement in arrangements(0):
-            counts["assignments_tried"] += 1
-            if counts["assignments_tried"] > assignment_budget:
-                counts["budget_exhausted"] = True
-                if stats is not None:
-                    stats.update(counts)
-                return None
-            vs, ws = [], []
-            for s, targets in zip(sigs, arrangement):
-                for i, j in zip(claimed_sigs[s], targets):
-                    vs.append(key.vectors[i])
-                    ws.append(image.vectors[j])
-            try:
-                # completes freely when the key vectors do not span: the
-                # function never sees the complement, so any invertible
-                # completion verifies or fails on its own merits
-                m = solve_linear_invertible(vs, ws, q)
-            except NoSolutionError:
-                continue
-            if evaluate(key, m) == image:
-                result = m
-                break
-        if result is not None:
+        claimed = {v: tuple(inner_product(h, v, q) for h in combo) for v in key.vectors}
+        nodes: dict = {}
+        matches = iter_matchings(
+            key.vectors,
+            image.vectors,
+            q,
+            n,
+            node_budget=assignment_budget - counts["assignments_tried"],
+            enumerate_completions=False,
+            colours=(claimed.__getitem__, actual.__getitem__),
+            stats=nodes,
+        )
+        try:
+            result = next((m for m in matches if evaluate(key, m) == image), None)
+        except BudgetExceededError:
+            counts["budget_exhausted"] = True
+        finally:
+            matches.close()
+            counts["assignments_tried"] += nodes["nodes"]
+        if result is not None or counts["budget_exhausted"]:
             break
     if stats is not None:
         stats.update(counts)

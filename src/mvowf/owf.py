@@ -30,7 +30,6 @@ from .field import (
     rank,
     random_invertible,
     random_vector,
-    solve_linear,
     validate_modulus,
 )
 from .rng import spawn_rng
@@ -141,23 +140,32 @@ def transform_image(a: Matrix, image: OwfImage, q: int) -> OwfImage:
 
 # -- multiset matching search ------------------------------------------------
 #
-# Core engine shared by witness enumeration, injectivity, inversion and the
-# graph-isomorphism search: yield every invertible M with M*src = dst as
-# multisets.  Distinct source values are assigned targets in first-appearance
-# order, candidates in lexicographic order.  Assigning v -> w pushes the row
-# (v | -M v), reduced, onto a field.Echelon whose pivots lie in the v-part; a
-# second Echelon over the images of the pivots rejects an assignment that
-# would make M singular.  Each source value not yet assigned keeps a
-# residual, (v | 0) reduced against the pivots; a push reduces every residual
-# against the new pivot only.  A residual with a zero v-part is (0 | M v):
-# the value lies in the assigned span and its image is forced.  So the
-# lookahead scans the residuals and prunes the branch when a forced image is
-# missing from dst or has the wrong multiplicity.  A forced image cannot
-# collide with an assigned or another forced one: the pivots' images are
-# independent, so M is injective on the assigned span.  Packed rows are
-# hashable, and a zero-v-part residual is the key of its image.  When the
-# source values do not span, the remaining degrees of freedom are either
-# completed greedily (one witness per leaf) or enumerated.
+# Core engine shared by witness enumeration, injectivity, inversion, the
+# graph-isomorphism search and the bilinear reduction: yield every
+# invertible M with M*src = dst as multisets.  An optional colouring
+# (src_colour, dst_colour) lets v map to w only when src_colour(v) ==
+# dst_colour(w).  Each distinct value is labelled (multiplicity, colour), a
+# matching maps each value to one of the same label, and so the search ends
+# before its first node when src and dst differ in how many values carry
+# each label.  Distinct source values are assigned targets in
+# first-appearance order, candidates in lexicographic order.  Assigning
+# v -> w pushes the row (v | -M v), reduced, onto a field.Echelon whose
+# pivots lie in the v-part; a second Echelon over the images of the pivots
+# rejects an assignment that would make M singular.  Each source value not
+# yet assigned keeps a residual, (v | 0) reduced against the pivots; a push
+# reduces every residual against the new pivot only.  A residual with a
+# zero v-part is (0 | M v): the value lies in the assigned span and its
+# image is forced.  So the lookahead scans the residuals and prunes the
+# branch when a forced image is missing from dst or has the wrong label.  A
+# forced image cannot collide with an assigned or another forced one: the
+# pivots' images are independent, so M is injective on the assigned span.
+# Packed rows are hashable, and a zero-v-part residual is the key of its
+# image.  When the source values do not span, the unit vectors off the
+# pivot columns complete them, each pushed with an image that keeps M
+# invertible: the first such image only (one witness per leaf) or every
+# one.  At a leaf the pivots span the v-part, so (e_j | 0) reduces to
+# (0 | M e_j), column j of M.  stats["nodes"] receives the nodes charged,
+# however the search ends.
 
 
 def iter_matchings(
@@ -167,26 +175,30 @@ def iter_matchings(
     n: int,
     node_budget: int | None = None,
     enumerate_completions: bool = True,
+    colours: tuple[Callable[[Vector], object], Callable[[Vector], object]] | None = None,
+    stats: dict | None = None,
 ) -> Iterator[Matrix]:
-    src_count = Counter(src)
-    dst_count = Counter(dst)
-    if sum(src_count.values()) != sum(dst_count.values()):
+    src_colour, dst_colour = colours or (lambda v: None, lambda w: None)
+    src_label = {v: (c, src_colour(v)) for v, c in Counter(src).items()}
+    dst_label = {w: (c, dst_colour(w)) for w, c in Counter(dst).items()}
+    if Counter(src_label.values()) != Counter(dst_label.values()):
+        if stats is not None:
+            stats["nodes"] = 0
         return
-    src_vals = list(dict.fromkeys(src))
-    mults = [src_count[v] for v in src_vals]
+    src_vals = list(src_label)  # first-appearance order
+    labels = list(src_label.values())
     rows = Echelon(q, n, n)
     images = Echelon(q, n)
     bound = rows.bound
     zeros = (0,) * n
-    target = {rows.pack(zeros + w): w for w in sorted(dst_count)}  # key (0 | w) -> w
-    count = {k: dst_count[w] for k, w in target.items()}
-    by_mult: dict[int, list[tuple[Vector, object]]] = {}
-    for k, w in target.items():
-        by_mult.setdefault(count[k], []).append((w, k))
+    units = identity(n)
+    label_of = {rows.pack(zeros + w): label for w, label in dst_label.items()}
+    by_label: dict[tuple, list] = {}  # label -> keys (0 | w), lex order of w
+    for k in sorted(label_of):
+        by_label.setdefault(label_of[k], []).append(k)
 
     nodes = 0
     used: set = set()  # keys of the assigned images
-    pairs: list[tuple[Vector, Vector]] = []
 
     def charge() -> None:
         nonlocal nodes
@@ -194,69 +206,48 @@ def iter_matchings(
         if node_budget is not None and nodes > node_budget:
             raise BudgetExceededError(f"matching search exceeded {node_budget} nodes")
 
-    def solve_from_pairs(extra: list[tuple[Vector, Vector]]) -> Matrix:
-        vs = [p[0] for p in pairs] + [p[0] for p in extra]
-        ws = [p[1] for p in pairs] + [p[1] for p in extra]
-        return solve_linear(vs, ws, q)
-
-    def complete(free_sources: list[Vector]) -> Iterator[Matrix]:
-        # assign images to basis vectors outside span(src); any choice keeping
-        # the image side independent yields a valid M
-        if not free_sources:
-            yield solve_from_pairs([])
+    def complete(free: list[Vector], idx: int) -> Iterator[Matrix]:
+        if idx == len(free):
+            cols = [rows.unpack(rows.reduce(rows.pack(e + zeros)))[n:] for e in units]
+            yield tuple(zip(*cols))
             return
-
         # when one completion is wanted, the lex-first image outside the span
         # is the highest-index unit vector outside it (see
         # field.solve_linear_invertible), so only unit vectors are tried
-        units = identity(n)[::-1]
-
-        def choose(idx: int, extra: list[tuple[Vector, Vector]]) -> Iterator[Matrix]:
-            if idx == len(free_sources):
-                yield solve_from_pairs(extra)
+        for y in enumerate_vectors(n, q) if enumerate_completions else reversed(units):
+            if not images.push(images.pack(y)):
+                continue
+            charge()
+            rows.push(rows.sub(rows.pack(free[idx] + zeros), rows.pack(zeros + y)))
+            yield from complete(free, idx + 1)
+            rows.pop()
+            images.pop()
+            if not enumerate_completions:
                 return
-            for y in enumerate_vectors(n, q) if enumerate_completions else units:
-                if not images.push(images.pack(y)):
-                    continue
-                charge()
-                yield from choose(idx + 1, extra + [(free_sources[idx], y)])
-                images.pop()
-                if not enumerate_completions:
-                    return
-
-        yield from choose(0, [])
-
-    def free_basis() -> list[Vector]:
-        # unit vectors off the pivot columns extend the source span to F_q^n
-        taken = set(rows.columns())
-        return [
-            tuple(1 if i == j else 0 for i in range(n))
-            for j in range(n)
-            if j not in taken
-        ]
 
     def forced_images_available(idx: int, residuals: list) -> bool:
-        return all(count.get(r) == mult for r, mult in zip(residuals, mults[idx:]) if r < bound)
+        return all(
+            label_of.get(r) == label for r, label in zip(residuals, labels[idx:]) if r < bound
+        )
 
     def extend(idx: int, residuals: list) -> Iterator[Matrix]:
         # residuals[i] belongs to src_vals[idx + i]
         if idx == len(src_vals):
-            yield from complete(free_basis())
+            # unit vectors off the pivot columns extend the source span to F_q^n
+            taken = set(rows.columns())
+            yield from complete([e for j, e in enumerate(units) if j not in taken], 0)
             return
-        v = src_vals[idx]
-        mult = mults[idx]
+        label = labels[idx]
         r = residuals[0]
         rest = residuals[1:]
         if r < bound:
-            if count.get(r) == mult:
+            if label_of.get(r) == label:
                 charge()
                 used.add(r)
-                pairs.append((v, target[r]))
                 yield from extend(idx + 1, rest)
-                pairs.pop()
                 used.remove(r)
             return
-        for w, k in by_mult.get(mult, []):
+        for k in by_label[label]:
             if k in used:
                 continue
             charge()
@@ -265,16 +256,18 @@ def iter_matchings(
                 continue
             rows.push(row)
             used.add(k)
-            pairs.append((v, w))
             reduced = rows.eliminate(rest)
             if forced_images_available(idx + 1, reduced):
                 yield from extend(idx + 1, reduced)
-            pairs.pop()
             used.remove(k)
             rows.pop()
             images.pop()
 
-    yield from extend(0, [rows.pack(v + zeros) for v in src_vals])
+    try:
+        yield from extend(0, [rows.pack(v + zeros) for v in src_vals])
+    finally:
+        if stats is not None:
+            stats["nodes"] = nodes
 
 
 def _canonical_permutation(vectors: Sequence[Vector], k: Matrix, q: int) -> tuple[int, ...]:

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 from collections import Counter
 from random import Random
@@ -9,10 +11,17 @@ from mvowf.field import (
     SingularMatrixError,
     UnderdeterminedError,
     enumerate_vectors,
+    inner_product,
+    mat_vecs,
+    random_invertible_mapping,
     scalar_inv,
+    solve_linear_invertible,
+    transpose,
 )
 from mvowf.graphs import SimpleGraph
-from mvowf.owf import BudgetExceededError
+from mvowf.hardcore import BilinearContext, _decode
+from mvowf.owf import BudgetExceededError, evaluate, transform_image
+from mvowf.permstats import projection_family_size, sample_projection_family
 
 # One profile for the whole suite: no per-example deadline, since the shared
 # hosts the suite runs on stall single examples past the 200 ms default.
@@ -498,3 +507,102 @@ def reference_iter_matchings(
     yield from extend(0)
     if stats is not None:
         stats["nodes"] = nodes
+
+
+# -- reference reduction: the bilinear reduction as it was before it ran its
+# matching on iter_matchings, with its own signature-class matcher
+
+
+def reference_bilinear_invert(
+    key, image, predictor, a, b, epsilon, rng, confidence=0.9, assignment_budget=10**6, stats=None
+):
+    """bilinear_invert with per-class permutations, each solved and verified.
+
+    Decodes exactly as bilinear_invert does.  Then, per combo of decoded rows,
+    it compares the sizes of the signature classes of key and image, and
+    tries every product of within-class permutations: each assignment is
+    solved by solve_linear_invertible and checked through evaluate, and
+    counts as one of assignments_tried.
+    """
+    n, q = key.n, key.q
+    if not any(a) or not any(b):
+        raise ValueError("predicate vectors a, b must be nonzero")
+    t_memo = {}
+    counts = {"t_queries": 0, "assignments_tried": 0, "budget_exhausted": False}
+
+    def t_oracle(x, y):
+        if not any(y) or not any(x):
+            return 0
+        if (x, y) not in t_memo:
+            counts["t_queries"] += 1
+            a_mat = transpose(random_invertible_mapping(a, x, q, rng))
+            b_mat = random_invertible_mapping(y, b, q, rng)
+            ctx = BilinearContext(
+                image=transform_image(a_mat, image, q).vectors,
+                basis=tuple(mat_vecs(b_mat, key.vectors, q)),
+                left=a_mat,
+                right=b_mat,
+            )
+            t_memo[(x, y)] = predictor.query(ctx)
+        return t_memo[(x, y)]
+
+    size = min(projection_family_size(key.m), n)
+    family = sample_projection_family(n, q, size, rng)
+
+    row_lists = []
+    for g in family:
+        rows = _decode(functools.partial(t_oracle, g), n, q, epsilon, 200, rng, confidence)
+        if not rows:
+            if stats is not None:
+                stats.update(counts, family=family, empty_decode=True)
+            return None
+        row_lists.append(rows)
+
+    actual_sigs = {}
+    for j, w in enumerate(image.vectors):
+        actual_sigs.setdefault(tuple(inner_product(g, w, q) for g in family), []).append(j)
+
+    result = None
+    for combo in itertools.product(*row_lists):
+        claimed_sigs = {}
+        for i, v in enumerate(key.vectors):
+            claimed_sigs.setdefault(tuple(inner_product(h, v, q) for h in combo), []).append(i)
+        if {s: len(ix) for s, ix in claimed_sigs.items()} != {
+            s: len(ix) for s, ix in actual_sigs.items()
+        }:
+            continue
+        sigs = list(claimed_sigs)
+
+        def arrangements(class_idx):
+            # lazy product of per-class permutations
+            if class_idx == len(sigs):
+                yield ()
+                return
+            for perm in itertools.permutations(actual_sigs[sigs[class_idx]]):
+                for rest in arrangements(class_idx + 1):
+                    yield (perm,) + rest
+
+        for arrangement in arrangements(0):
+            counts["assignments_tried"] += 1
+            if counts["assignments_tried"] > assignment_budget:
+                counts["budget_exhausted"] = True
+                if stats is not None:
+                    stats.update(counts)
+                return None
+            vs, ws = [], []
+            for s, targets in zip(sigs, arrangement):
+                for i, j in zip(claimed_sigs[s], targets):
+                    vs.append(key.vectors[i])
+                    ws.append(image.vectors[j])
+            try:
+                m = solve_linear_invertible(vs, ws, q)
+            except NoSolutionError:
+                continue
+            if evaluate(key, m) == image:
+                result = m
+                break
+        if result is not None:
+            break
+    if stats is not None:
+        stats.update(counts)
+    return result

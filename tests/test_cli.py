@@ -170,6 +170,21 @@ def test_hardcore_bilinear_cli(capsys):
     assert doc["recovered"] is True
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["hardcore-trace", "--q", "2", "--n", "2", "--seed", "9"],
+        ["hardcore-bilinear", "--q", "2", "--n", "4", "--delta", "4", "--seed", "11"],
+    ],
+    ids=["trace", "bilinear"],
+)
+def test_hardcore_rejects_zero_epsilon(args, capsys):
+    assert run(args + ["--epsilon", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "epsilon must be positive" in captured.err
+
+
 def test_ig_stats_cli(capsys):
     assert run(["ig-stats", "--n", "8", "--m", "16", "--q", "2", "--trials", "30",
                 "--seed", "2", "--format", "csv"]) == 0

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_agreements, reference_exact_decode, reference_gl_vote_queries
+from conftest import (
+    reference_agreements,
+    reference_bilinear_invert,
+    reference_exact_decode,
+    reference_gl_vote_queries,
+)
 from mvowf import hardcore
 from mvowf.field import (
     enumerate_invertible,
@@ -35,7 +40,7 @@ from mvowf.hardcore import (
     make_trace_truth,
     trace_invert,
 )
-from mvowf.owf import OwfImage, OwfKey, evaluate, is_injective, keygen
+from mvowf.owf import BudgetExceededError, OwfImage, OwfKey, evaluate, is_injective, keygen
 
 
 def injective_key(q, n, rng, delta=None):
@@ -546,6 +551,73 @@ def test_bilinear_invert_duplicate_targets():
     stats = {}
     got = bilinear_invert(key, image, predictor, a, b, 0.5, rng, stats=stats)
     assert got is not None and evaluate(key, got) == image
+
+
+def _bilinear_instance(q, n, delta, epsilon, seed):
+    """Arguments of bilinear_invert for a planted instance."""
+    rng = Random(seed)
+    key = keygen(q, n, delta=delta, rng=rng)
+    m0 = random_invertible(n, q, rng)
+    a = (1,) + (0,) * (n - 1)
+    b = (0, 1) + (0,) * (n - 2)
+    predictor = make_noisy_predictor(make_bilinear_truth(m0, a, b, q), epsilon, q, rng)
+    return key, evaluate(key, m0), predictor, a, b, epsilon, rng
+
+
+@pytest.mark.parametrize(
+    "q, n, delta, epsilon, seeds",
+    [
+        (2, 4, 4, 0.5, range(6)),
+        (2, 4, 4, 0.2, range(6)),
+        (3, 3, 3, 2 / 3, range(4)),
+        (3, 3, 0, 2 / 3, range(4)),
+        (2, 4, 1, 0.5, range(4)),
+        # the projection family has fewer than n members
+        (2, 7, 1, 0.5, range(2)),
+        (2, 9, 3, 0.5, range(1)),
+    ],
+)
+def test_bilinear_invert_matches_reference(q, n, delta, epsilon, seeds):
+    """The engine's signature-coloured matching recovers the matrix the
+    per-class permutation matcher did, after the same predictor queries."""
+    for seed in seeds:
+        key, image, predictor, *rest = _bilinear_instance(q, n, delta, epsilon, seed)
+        got = bilinear_invert(key, image, predictor, *rest)
+        ref_args = _bilinear_instance(q, n, delta, epsilon, seed)
+        assert got == reference_bilinear_invert(*ref_args)
+        assert predictor.query_count == ref_args[2].query_count
+        assert got is None or evaluate(key, got) == image
+
+
+def test_bilinear_budget_spans_combos(monkeypatch):
+    """Each engine call gets the budget the earlier calls left; the call that
+    breaks it ends the reduction."""
+    budgets = []
+
+    def three_nodes_each(src, dst, q, n, node_budget, stats, **kwargs):
+        budgets.append(node_budget)
+        stats["nodes"] = min(3, node_budget + 1)
+        if node_budget < 3:
+            raise BudgetExceededError(f"matching search exceeded {node_budget} nodes")
+        return
+        yield
+
+    monkeypatch.setattr(hardcore, "iter_matchings", three_nodes_each)
+    # eps = 0.2 leaves several decoded forms per family member: 720 combos
+    args = _bilinear_instance(2, 4, 1, 0.2, 14)
+    stats = {}
+    assert bilinear_invert(*args, assignment_budget=10, stats=stats) is None
+    assert budgets == [10, 7, 4, 1]
+    assert stats["assignments_tried"] == 11 and stats["budget_exhausted"]
+
+
+def test_reductions_reject_zero_epsilon():
+    key, image, predictor, a, b, _, rng = _bilinear_instance(2, 4, 4, 0.0, 1)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        trace_invert(key, image, predictor, 0.0, rng)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        bilinear_invert(key, image, predictor, a, b, 0.0, rng)
+    assert predictor.query_count == 0
 
 
 def test_bilinear_invert_rejects_zero_predicate_vectors():

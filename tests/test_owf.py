@@ -1,6 +1,7 @@
 """Key generation, evaluation, injectivity machinery, inversion oracles."""
 
 import time
+from collections import Counter
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from mvowf.field import (
     enumerate_invertible,
     identity,
     is_invertible,
+    mat_inverse,
     mat_mul,
     mat_vec,
     mat_vecs,
@@ -394,18 +396,86 @@ def _run_search(search, src, dst, q, n, completions, budget, **kwargs):
     return out, True
 
 
+def _profile(values):
+    """How many distinct values occur with each multiplicity."""
+    return Counter(Counter(values).values())
+
+
 @given(matching_searches())
 @settings(max_examples=300)
 def test_iter_matchings_matches_reference(search):
-    stats = {}
+    src, dst = search[:2]
+    if _profile(src) != _profile(dst):
+        # no matching exists; the engine's opening check finds that before
+        # its first node, where the reference may search a while
+        assert _run_search(iter_matchings, *search, 0) == ([], True)
+        return
+    stats, got_stats = {}, {}
     expected = _run_search(reference_iter_matchings, *search, 3000, stats=stats)
-    assert _run_search(iter_matchings, *search, 3000) == expected
+    assert _run_search(iter_matchings, *search, 3000, stats=got_stats) == expected
     if expected[1]:
         # same node count: the reference's count suffices and one less does not
         nodes = stats["nodes"]
+        assert got_stats["nodes"] == nodes
         assert _run_search(iter_matchings, *search, nodes) == expected
         if nodes:
             assert not _run_search(iter_matchings, *search, nodes - 1)[1]
+    else:
+        assert got_stats["nodes"] == 3001  # the node that broke the budget
+
+
+def _colouring(data, src, dst, q, n, yields):
+    """(src_colour, dst_colour): linear, v -> Hv and w -> Gw, or arbitrary
+    dicts; often consistent with one of the yields K when there are any."""
+    rng = Random(data.draw(st.integers(0, 2**32)))
+    k = data.draw(st.sampled_from(yields)) if yields and data.draw(st.booleans()) else None
+    if data.draw(st.booleans()):
+        h = tuple(random_vector(n, q, rng) for _ in range(data.draw(st.integers(1, n))))
+        # G = H K^-1 gives K v the colour of v
+        g = mat_mul(h, mat_inverse(k, q), q) if k else tuple(random_vector(n, q, rng) for _ in h)
+        return (lambda v: mat_vec(h, v, q)), (lambda w: mat_vec(g, w, q))
+    spread = data.draw(st.integers(1, 3))
+    src_colour = {v: rng.randrange(spread) for v in src}
+    dst_colour = {w: rng.randrange(spread) for w in dst}
+    if k:
+        dst_colour.update(zip(mat_vecs(k, src, q), map(src_colour.get, src)))
+        # swapping the colours of two equally frequent values keeps the label
+        # profile, so the search runs; only arbitrary colours can then fail a
+        # forced image on its colour alone
+        count = Counter(dst)
+        x = rng.choice(dst)
+        y = rng.choice([w for w in dst if count[w] == count[x]])
+        dst_colour[x], dst_colour[y] = dst_colour[y], dst_colour[x]
+    return src_colour.__getitem__, dst_colour.__getitem__
+
+
+@given(matching_searches(), st.data())
+@settings(max_examples=300)
+def test_colours_filter_reference_yields(search, data):
+    """Coloured yields are the reference's, filtered to colour-keeping M, in
+    order, and the coloured search visits no more nodes."""
+    src, dst, q, n, _ = search
+    stats, got_stats = {}, {}
+    plain, finished = _run_search(reference_iter_matchings, *search, 3000, stats=stats)
+    colours = _colouring(data, src, dst, q, n, plain)
+    src_colour, dst_colour = colours
+    keep = [m for m in plain if all(src_colour(v) == dst_colour(mat_vec(m, v, q)) for v in src)]
+    got, got_finished = _run_search(iter_matchings, *search, 3000, colours=colours, stats=got_stats)
+    if finished:
+        assert got_finished and got == keep
+        assert got_stats["nodes"] <= stats["nodes"]
+    else:
+        # the coloured tree is a subtree, searched in the same order
+        assert got[: len(keep)] == keep
+
+
+def test_stats_written_when_closed():
+    key = keygen(2, 4, delta=4, rng=Random(12))
+    stats = {}
+    search = iter_matchings(key.vectors, key.vectors, 2, 4, stats=stats)
+    next(search)
+    search.close()
+    assert stats["nodes"] > 0
 
 
 def test_single_completion_is_polynomial():
