@@ -250,16 +250,17 @@ def _constraint_rows(vs: Sequence[Vector], ws: Sequence[Vector], q: int) -> tupl
 def _solution(rows: Echelon) -> Matrix:
     """The X with X v = w for every row (v | w) of rows, an Echelon(q, n, n) with n pivots.
 
-    Every pivot is (v | X v) and the pivots' heads span F_q^n, so (-e_j | 0)
-    reduces to (0 | X e_j): column j of X.
+    A pivot is zero at the columns of the pivots pushed before it, and n
+    pivots fill every head column, so pushing them in reverse order onto a
+    fresh Echelon reduces each by the later ones to (e_c | X e_c), c its
+    own column: the tails are the columns of X.
     """
     n = rows.n
-    zeros = (0,) * n
-    cols = []
-    for j in range(n):
-        neg_unit = zeros[:j] + (rows.q - 1,) + zeros[j + 1 :]
-        cols.append(rows.unpack(rows.reduce(rows.pack(neg_unit + zeros)))[n:])
-    return tuple(zip(*cols))
+    clean = Echelon(rows.q, n, n)
+    for row in reversed(rows.rows()):
+        clean.push(row)
+    cols = dict(zip(clean.columns(), map(rows.unpack, clean.rows())))
+    return tuple(zip(*[cols[j][n:] for j in range(n)]))
 
 
 # -- incremental echelon -----------------------------------------------------
@@ -351,6 +352,13 @@ class Echelon:
         """Pivot columns, in push order."""
         return [c for c, _ in self.pivots]
 
+    def rows(self) -> list:
+        """Pivot rows, in push order."""
+        return [p for _, p in self.pivots]
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # the ASCII digits "0" and "1" to the bytes 0 and 1
+
 
 class _PackedEchelon(Echelon):
     """Echelon at q = 2: a row of width w is an int, coordinate j at bit w - 1 - j."""
@@ -372,7 +380,7 @@ class _PackedEchelon(Echelon):
         return x
 
     def unpack(self, row: int) -> Vector:
-        return tuple(map(int, format(row, f"0{self.width}b")))
+        return tuple(format(row, f"0{self.width}b").encode().translate(_BITS))
 
     def reduce(self, row: int) -> int:
         for p, top in self.pivots:
@@ -399,6 +407,9 @@ class _PackedEchelon(Echelon):
 
     def columns(self) -> list[int]:
         return [self.width - top.bit_length() for _, top in self.pivots]
+
+    def rows(self) -> list[int]:
+        return [p for p, _ in self.pivots]
 
 
 # -- sampling and enumeration ------------------------------------------------
@@ -494,11 +505,13 @@ def random_invertible_mapping(u: Vector, w: Vector, q: int, rng: Random) -> Matr
     p_u, p_u_inv = _basis_with_inverse(tuple(u), q)
     p_w, _ = _basis_with_inverse(tuple(w), q)
     while True:
-        cols = [tuple(1 if i == 0 else 0 for i in range(n))]
-        cols += [random_vector(n, q, rng) for _ in range(n - 1)]
-        t = tuple(tuple(col[i] for col in cols) for i in range(n))
-        if rank(t, q) == n:
+        drawn = [random_vector(n, q, rng) for _ in range(n - 1)]  # columns 2..n of T
+        # T's first column is e_1, so T is invertible exactly when its
+        # lower-right (n-1) x (n-1) block is; the col[1:] are that block's
+        # columns, and a matrix has the rank of its transpose
+        if rank([col[1:] for col in drawn], q) == n - 1:
             break
+    t = transpose((identity(n)[0], *drawn))
     return mat_mul(mat_mul(p_w, t, q), p_u_inv, q)
 
 
@@ -517,7 +530,12 @@ def enumerate_vectors(n: int, q: int) -> Iterator[Vector]:
 
 
 def enumerate_invertible(n: int, q: int) -> Iterator[Matrix]:
-    """Every element of GL_n(F_q) exactly once, rows chosen lexicographically."""
+    """Every element of GL_n(F_q) exactly once, rows chosen lexicographically.
+
+    The first n - 1 rows are pushed onto one Echelon as the prefix grows and
+    popped on the way back; a last row is only reduced against them and
+    kept when its reduction is nonzero.
+    """
     if q ** (n * n) > enumeration_cap():
         raise EnumerationCapError(
             f"q^(n^2) = {q ** (n * n)} exceeds enumeration cap {enumeration_cap()}"
@@ -528,8 +546,12 @@ def enumerate_invertible(n: int, q: int) -> Iterator[Matrix]:
     prefix: list[Vector] = []
 
     def build() -> Iterator[Matrix]:
-        if len(prefix) == n:
-            yield tuple(prefix)
+        if len(prefix) == n - 1:
+            # the last row only needs testing: no push, pop or deeper level
+            reduce, bound = echelon.reduce, echelon.bound
+            for row, x in zip(all_rows, packed):
+                if reduce(x) >= bound:
+                    yield (*prefix, row)
             return
         for row, x in zip(all_rows, packed):
             if echelon.push(x):

@@ -348,11 +348,20 @@ def invert_backtracking(
 
 
 def invert_exhaustive(key: OwfKey, image: OwfImage) -> Matrix | None:
-    """Scan all of GL_n(F_q) for a preimage; None when the scan exhausts."""
+    """Scan all of GL_n(F_q) for a preimage; None when the scan exhausts.
+
+    Returns the first M in `enumerate_invertible` order with M*V = image.
+    Coordinate i of M v is <row i of M, v>, so one `mat_vecs` per call builds
+    table[r] = (<r, v> for v in V) for each of the q^n possible rows r, and
+    the columns of (table[M[0]], ..., table[M[n-1]]) are the M v.
+    """
     # enumerate_invertible yields only in-range invertible matrices, so
     # evaluate's shape, range and rank checks would be repeated work
+    rows = list(enumerate_vectors(key.n, key.q))
+    table = dict(zip(rows, zip(*mat_vecs(rows, key.vectors, key.q))))
+    target = list(image.vectors)
     for m in enumerate_invertible(key.n, key.q):
-        if tuple(sorted(mat_vecs(m, key.vectors, key.q))) == image.vectors:
+        if sorted(zip(*map(table.__getitem__, m))) == target:
             return m
     return None
 

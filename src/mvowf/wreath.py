@@ -93,11 +93,18 @@ class HiddenShiftInstance:
 
 
 def _memoised_evaluate(key: OwfKey) -> Callable[[Matrix], OwfImage]:
-    """evaluate(key, .) remembering each image; errors are raised, not stored."""
+    """evaluate(key, .) remembering each image; errors are raised, not stored.
+
+    A block is looked up as given first; only a miss, or a block that cannot
+    be hashed (rows given as lists), builds the tuple-of-tuples key.
+    """
     memo: dict[Matrix, OwfImage] = {}
 
     def f(n_mat: Matrix) -> OwfImage:
-        index = tuple(map(tuple, n_mat))
+        try:
+            return memo[n_mat]
+        except (KeyError, TypeError):
+            index = tuple(map(tuple, n_mat))
         if index not in memo:
             memo[index] = evaluate(key, index)
         return memo[index]
@@ -150,6 +157,8 @@ def verify_hsp_promise(inst: HspInstance, n: int, q: int) -> bool:
 
     Equivalent to the all-pairs comparison: grouping elements by value, the
     promise holds exactly when every value class is one right coset {x, x*a}.
+    Each block of x*a is g*a1 or g*a2 for a block g of GL_n, so the check
+    computes each of those 2 |GL_n| products once, when first needed.
     """
     order = 2 * gl_order(n, q) ** 2
     if order > enumeration_cap():
@@ -158,10 +167,24 @@ def verify_hsp_promise(inst: HspInstance, n: int, q: int) -> bool:
     classes: dict = {}
     for x in enumerate_wreath(n, q):
         classes.setdefault(inst.f(x), []).append(x)
+    blocks = (alpha.g1, alpha.g2)
+    products: tuple[dict, dict] = ({}, {})  # products[i][g] = g * blocks[i]
+
+    def times(g: Matrix, i: int) -> Matrix:
+        done = products[i]
+        if g not in done:
+            done[g] = mat_mul(g, blocks[i], q)
+        return done[g]
+
     for members in classes.values():
         if len(members) != 2:
             return False
         x, y = members
-        if wreath_mul(x, alpha, q) != y:
+        # x*a as in wreath_mul: x.swap = 1 crosses a's blocks
+        if (
+            y.swap != x.swap ^ alpha.swap
+            or y.g1 != times(x.g1, x.swap)
+            or y.g2 != times(x.g2, 1 ^ x.swap)
+        ):
             return False
     return True

@@ -10,6 +10,7 @@ from mvowf.field import (
     NoSolutionError,
     SingularMatrixError,
     UnderdeterminedError,
+    enumerate_invertible,
     enumerate_vectors,
     inner_product,
     mat_vecs,
@@ -22,6 +23,7 @@ from mvowf.graphs import SimpleGraph
 from mvowf.hardcore import BilinearContext, _decode
 from mvowf.owf import BudgetExceededError, evaluate, transform_image
 from mvowf.permstats import projection_family_size, sample_projection_family
+from mvowf.wreath import enumerate_wreath, wreath_mul
 
 # One profile for the whole suite: no per-example deadline, since the shared
 # hosts the suite runs on stall single examples past the 200 ms default.
@@ -365,6 +367,34 @@ def reference_enumerate_invertible(n, q):
                 yield from build(prefix + [row])
 
     yield from build([])
+
+
+# -- reference brute-force scans: invert_exhaustive with one mat_vecs per
+# candidate and verify_hsp_promise with one wreath_mul per value class, as
+# they were before each scan shared its products
+
+
+def reference_invert_exhaustive(key, image):
+    """First M in enumerate_invertible order with sorted(M V) == image, or None."""
+    for m in enumerate_invertible(key.n, key.q):
+        if tuple(sorted(mat_vecs(m, key.vectors, key.q))) == image.vectors:
+            return m
+    return None
+
+
+def reference_verify_hsp_promise(inst, n, q):
+    """True iff every value class of inst.f is one right coset {x, x*a}."""
+    _, alpha = inst.subgroup
+    classes = {}
+    for x in enumerate_wreath(n, q):
+        classes.setdefault(inst.f(x), []).append(x)
+    for members in classes.values():
+        if len(members) != 2:
+            return False
+        x, y = members
+        if wreath_mul(x, alpha, q) != y:
+            return False
+    return True
 
 
 def reference_iter_matchings(

@@ -158,6 +158,19 @@ def test_hsp_check_cli(capsys):
     assert doc["promise_holds"] is True
 
 
+@pytest.mark.parametrize(
+    "q, n, stdout",
+    [
+        ("3", "2", '{\n  "m": 4,\n  "n": 2,\n  "promise_holds": true,\n  "q": 3\n}\n'),
+        ("2", "3", '{\n  "m": 16,\n  "n": 3,\n  "promise_holds": true,\n  "q": 2\n}\n'),
+    ],
+    ids=["q3n2", "q2n3"],
+)
+def test_hsp_check_seeded_stdout(q, n, stdout, capsys):
+    assert run(["hsp-check", "--q", q, "--n", n, "--seed", "1"]) == 0
+    assert capsys.readouterr().out == stdout
+
+
 def test_hardcore_trace_cli(capsys):
     assert run(["hardcore-trace", "--q", "2", "--n", "2", "--seed", "9"]) == 0
     doc = json.loads(capsys.readouterr().out)

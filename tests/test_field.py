@@ -2,6 +2,7 @@
 
 import time
 from collections import Counter
+from itertools import product
 from random import Random
 
 import pytest
@@ -304,6 +305,18 @@ def test_random_invertible_mapping_matches_reference(case):
     assert fast.getstate() == slow.getstate()
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_random_invertible_mapping_at_n_1(q):
+    """T = (1) has an empty block to rank: the map is w u^-1 and no draw is made."""
+    for u, w in product(range(1, q), repeat=2):
+        fast, slow = Random(u * q + w), Random(u * q + w)
+        before = fast.getstate()
+        a = random_invertible_mapping((u,), (w,), q, fast)
+        assert a == reference_random_invertible_mapping((u,), (w,), q, slow)
+        assert a == ((w * pow(u, -1, q) % q,),)
+        assert fast.getstate() == slow.getstate() == before
+
+
 def test_enumerate_invertible_counts():
     assert sum(1 for _ in enumerate_invertible(1, 3)) == 2
     assert sum(1 for _ in enumerate_invertible(2, 3)) == 48
@@ -319,7 +332,7 @@ def test_enumerate_invertible_distinct_and_invertible():
         assert is_invertible(m, 3)
 
 
-@pytest.mark.parametrize("n, q", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 5)])
+@pytest.mark.parametrize("n, q", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 5), (1, 2), (1, 5)])
 def test_enumerate_invertible_matches_reference_order(n, q):
     assert list(enumerate_invertible(n, q)) == list(reference_enumerate_invertible(n, q))
 

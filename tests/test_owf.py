@@ -7,7 +7,14 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import MODULI, matrices, reference_iter_matchings, reference_mat_vec
+from conftest import (
+    MODULI,
+    matrices,
+    reference_invert_exhaustive,
+    reference_iter_matchings,
+    reference_mat_vec,
+    vectors,
+)
 from mvowf.field import (
     SingularMatrixError,
     enumerate_invertible,
@@ -245,6 +252,42 @@ def test_invert_exhaustive_rejects_random_multiset():
         if all(evaluate(key, m) != fake for m in enumerate_invertible(2, 2)):
             break
     assert invert_exhaustive(key, fake) is None
+
+
+# every GL_n(F_q) small enough to scan once per example, in scan order
+GL = {(q, n): list(enumerate_invertible(n, q)) for q, n in [(2, 2), (2, 3), (3, 2), (5, 2)]}
+
+
+@st.composite
+def exhaustive_cases(draw):
+    """A key of n to n + 3 vectors (short keys are often non-injective) and an
+    image: either evaluate at some M, or a random multiset, mostly not an image."""
+    q, n = draw(st.sampled_from(sorted(GL)))
+    key = OwfKey(q=q, n=n, vectors=tuple(draw(st.lists(vectors(q, n), min_size=n, max_size=n + 3))))
+    if draw(st.booleans()):
+        image = evaluate(key, draw(st.sampled_from(GL[q, n])))
+    else:
+        image = OwfImage(tuple(sorted(draw(st.lists(vectors(q, n), min_size=key.m, max_size=key.m)))))
+    return key, image
+
+
+@settings(max_examples=200)
+@given(exhaustive_cases())
+def test_invert_exhaustive_matches_reference(case):
+    """The same matrix as one mat_vecs per candidate: the first preimage in scan order, or None."""
+    key, image = case
+    assert invert_exhaustive(key, image) == reference_invert_exhaustive(key, image)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_invert_exhaustive_returns_first_of_many_preimages(q):
+    """Every image of a key spanned by few vectors has several preimages."""
+    key = OwfKey(q=q, n=2, vectors=((1, 0), (0, 1), (1, 1), (0, 0)))
+    for m in GL[q, 2][:: len(GL[q, 2]) // 6]:
+        image = evaluate(key, m)
+        preimages = [g for g in GL[q, 2] if evaluate(key, g) == image]
+        assert len(preimages) > 1
+        assert invert_exhaustive(key, image) == preimages[0] == reference_invert_exhaustive(key, image)
 
 
 def test_self_reduce_perfect_inverter_first_try():

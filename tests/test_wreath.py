@@ -1,13 +1,16 @@
 """Wreath product arithmetic, block embedding, hidden shift and HSP promises.
 
-Everything here is exhaustive at n = 2, q = 2 (72 group elements).
+Everything here is exhaustive at n = 2, q = 2 (72 group elements); the
+differential promise check also scans GL_1 wreath squares and GL_2(F_3) wr Z_2.
 """
 
 import warnings
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import reference_verify_hsp_promise, vectors
 from mvowf import wreath
 from mvowf.field import (
     SingularMatrixError,
@@ -18,7 +21,7 @@ from mvowf.field import (
     rank,
     random_invertible,
 )
-from mvowf.owf import OwfImage, OwfKey, evaluate
+from mvowf.owf import OwfImage, OwfKey, evaluate, is_injective
 from mvowf.wreath import (
     HspInstance,
     WreathElement,
@@ -155,6 +158,10 @@ def test_hidden_shift_accepts_lists_and_keeps_raising_on_singular():
         for f in (inst.f1, inst.f2):
             with pytest.raises(SingularMatrixError):
                 f(singular)
+            with pytest.raises(SingularMatrixError):
+                f(tuple(map(tuple, singular)))
+    n_mat = next(enumerate_invertible(N, Q))
+    assert inst.f1(tuple(list(row) for row in n_mat)) == evaluate(INJECTIVE_KEY, n_mat)
 
 
 @pytest.mark.parametrize("key, holds", [(INJECTIVE_KEY, True), (NON_INJECTIVE_KEY, False)])
@@ -184,3 +191,69 @@ def test_promise_check_evaluates_each_block_once(monkeypatch):
     assert verify_hsp_promise(make_hsp_oracle(INJECTIVE_KEY, m), N, Q)
     # the shift's image, then |GL_2(F_2)| = 6 blocks for each of f1 and f2
     assert len(calls) <= 13
+
+
+# -- the promise check against one wreath_mul per value class -----------------
+
+# (q, n) -> (GL_n(F_q), its wreath square), each in scan order
+SCANS = {
+    (q, n): (list(enumerate_invertible(n, q)), list(enumerate_wreath(n, q)))
+    for q, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]
+}
+
+
+def _coset_oracle(beta, q):
+    """An oracle whose value classes are the right cosets {x, x*b} of an involution b."""
+
+    def f(x):
+        return tuple(sorted((y.g1, y.g2, y.swap) for y in (x, wreath_mul(x, beta, q))))
+
+    return f
+
+
+@pytest.mark.parametrize("q, n", sorted(SCANS))
+@settings(max_examples=15)
+@given(data=st.data())
+def test_verify_hsp_promise_matches_reference(q, n, data):
+    """Honest oracles of injective and non-injective keys, and tampered ones:
+    classes {x, x*b} for another involution b (b = (M, M, 0) when M^2 = I
+    differs from a = (M, M, 1) in the swap bit alone), a class of 3, or two
+    elements that trade values."""
+    gl, elements = SCANS[q, n]
+    kind = data.draw(st.sampled_from(["honest", "other-subgroup", "swap-only", "class-of-3", "traded"]))
+    key = OwfKey(q=q, n=n, vectors=tuple(data.draw(st.lists(vectors(q, n), min_size=n, max_size=n + 4))))
+    if kind == "swap-only":
+        m = data.draw(st.sampled_from([g for g in gl if mat_mul(g, g, q) == identity(n)]))
+    else:
+        m = data.draw(st.sampled_from(gl))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        honest = make_hsp_oracle(key, m)
+    e, alpha = honest.subgroup
+    expected = None
+    if kind == "honest":
+        inst = honest
+        if is_injective(key):
+            expected = True
+    elif kind in ("other-subgroup", "swap-only"):
+        if kind == "swap-only":
+            beta = WreathElement(m, m, 0)
+        else:
+            other = data.draw(st.sampled_from(gl))
+            beta = WreathElement(mat_inverse(other, q), other, 1)
+        inst = HspInstance(f=_coset_oracle(beta, q), subgroup=(e, alpha))
+        expected = beta == alpha
+    else:
+        z, w = (elements[i] for i in data.draw(st.lists(
+            st.integers(0, len(elements) - 1), min_size=2, max_size=2, unique=True
+        )))
+        values = {z: honest.f(w)} if kind == "class-of-3" else {z: honest.f(w), w: honest.f(z)}
+
+        def f(x):
+            return values[x] if x in values else honest.f(x)
+
+        inst = HspInstance(f=f, subgroup=(e, alpha))
+    holds = verify_hsp_promise(inst, n, q)
+    assert holds == reference_verify_hsp_promise(inst, n, q)
+    if expected is not None:
+        assert holds == expected
