@@ -116,8 +116,6 @@ def inner_product(a: Vector, b: Vector, q: int) -> int:
     """Sum of a_i * b_i mod q."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    if q == 2:
-        return (_pack(a) & _pack(b)).bit_count() & 1
     return sum(x * y for x, y in zip(a, b)) % q
 
 
@@ -171,18 +169,17 @@ def mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
 # -- int-packed GF(2) rows: bit j of the int is column j --------------------
 
 
-def _pack(v: Vector) -> int:
-    x = 0
-    for j, e in enumerate(v):
-        if e:
-            if e != 1:
-                raise ValueError(f"entry {e!r} out of range for q = 2")
-            x |= 1 << j
-    return x
-
-
 def _pack_rows(m: Matrix) -> list[int]:
-    return [_pack(row) for row in m]
+    out = []
+    for row in m:
+        x = 0
+        for j, e in enumerate(row):
+            if e:
+                if e != 1:
+                    raise ValueError(f"entry {e!r} out of range for q = 2")
+                x |= 1 << j
+        out.append(x)
+    return out
 
 
 # -- rank, inverse and linear systems, each one Echelon ----------------------

@@ -166,9 +166,8 @@ def estimate_advantage(
 
 # -- list decoding of noisy linear forms -------------------------------------
 
-# Elements of the largest array one block of a decoder's matrix products
-# builds: the guess correlation, the survivor re-check and the scoring of
-# every form in gl_decode_exhaustive.
+# Elements of the largest array one block of _ranked's matrix products builds
+# (candidate forms times scoring points).
 _BLOCK_ELEMENTS = 1 << 22
 
 # Largest domain q^k that gl_decode_exhaustive queries point by point
@@ -191,9 +190,14 @@ def goldreich_levin_f2(
 
     Classic list decoder: t reference points with guessed values, one
     majority vote per coordinate over the 2^t - 1 pairwise independent
-    subset sums.  Any form with the stated agreement lands in the output
-    with probability at least `confidence`; survivors are re-checked against
-    fresh samples and kept above agreement 1/2 + epsilon/2.
+    subset sums.  The votes of all 2^t guesses at once are one in-place
+    Walsh-Hadamard transform of the +-1 votes (Goldreich-Levin 1989,
+    Kushilevitz-Mansour 1993): afterwards entry b of coordinate i is
+    2^t - 1 - 2 * (subsets voting h_i = 1 under guess b), which is odd, so
+    the majority has no ties.  Any form with the stated agreement lands in
+    the output with probability at least `confidence`; survivors are
+    re-checked against fresh samples and kept above agreement
+    1/2 + epsilon/2, by falling agreement, ties in lexicographic order.
     """
     if k > 400:
         raise ValueError("decode dimension capped at 400")
@@ -204,80 +208,37 @@ def goldreich_levin_f2(
     # pairwise independent votes; union over k coordinates
     needed = k / (4 * epsilon * epsilon * delta)
     t = min(16, max(1, math.ceil(math.log2(needed + 1))))
-    nsub = 2**t - 1
 
     refs = [rng.getrandbits(k) for _ in range(t)]
-    # t <= 16, so masks and guesses fit uint16, which keeps the guess
-    # correlation's index array at a quarter of its int64 size
-    masks = np.arange(1, nsub + 1, dtype=np.uint16)
     # sums[mask - 1] = bits of the XOR of the refs the mask selects, all
     # subset sums in one product (entries at most t <= 16, so exact)
-    mask_bits = (masks[:, None] >> np.arange(t)) & 1
+    mask_bits = np.arange(1, 2**t)[:, None] >> np.arange(t) & 1
     ref_bits = np.array([_to_bits(r, k) for r in refs], dtype=np.int64)
     sums = ((mask_bits @ ref_bits) & 1).astype(np.uint8)
 
-    votes = np.empty((k, nsub), dtype=np.float32)
+    # signs[i, mask] = 1 - 2 * vote on h_i; mask 0 casts no vote
+    signs = np.zeros((k, 2**t), dtype=np.int32)
     for i in range(k):
         sums[:, i] ^= 1  # e_i + each subset sum, in mask order
-        votes[i] = [oracle(x) for x in map(tuple, sums.tolist())]
+        signs[i, 1:] = [1 - 2 * oracle(x) for x in map(tuple, sums.tolist())]
         sums[:, i] ^= 1
+    for j in range(t):
+        pairs = signs.reshape(k, -1, 2, 1 << j)
+        low, high = pairs[:, :, 0], pairs[:, :, 1]
+        low += high
+        high *= -2
+        high += low  # (low, high) -> (low + high, low - high)
+    candidates = np.unique((signs < 0).T, axis=0).view(np.uint8)
 
-    parity = np.array(
-        [x.bit_count() & 1 for x in range(2**t)], dtype=np.uint8
-    )
-    vote_totals = votes.sum(axis=1)
-
-    candidates: set[Vector] = set()
-    chunk = max(1, _BLOCK_ELEMENTS // nsub)
-    for start in range(0, 2**t, chunk):
-        guesses = np.arange(start, min(start + chunk, 2**t), dtype=np.uint16)
-        corr = parity[guesses[:, None] & masks[None, :]].astype(np.float32)
-        # ones[i, b] = #subsets voting h_i = 1 under guess b
-        ones = vote_totals[:, None] + corr.sum(axis=1)[None, :] - 2.0 * (votes @ corr.T)
-        hbits = (ones > nsub / 2.0).astype(np.uint8)
-        candidates.update(map(tuple, np.unique(hbits.T, axis=0).tolist()))
-
-    if not candidates:
-        return []
-    # re-check on fresh points; keep agreement >= 1/2 + epsilon/2.  Sized so
-    # a true form survives and junk from wrong guesses is unlikely to pass
-    # even after a union bound over all candidates.
+    # re-check on fresh points.  Sized so a true form survives and junk from
+    # wrong guesses is unlikely to pass even after a union bound over all
+    # candidates.
     n_check = max(
         64,
         math.ceil(2 * math.log(2 * max(len(candidates), 2) / delta) / (epsilon * epsilon)),
     )
     points = [_to_bits(rng.getrandbits(k), k) for _ in range(n_check)]
-    answers = [oracle(x) for x in points]
-    ordered = sorted(candidates)
-    agree = _agreements(
-        np.array(ordered, dtype=np.uint8).reshape(len(ordered), k),
-        np.array(points, dtype=np.uint8),
-        np.array(answers, dtype=np.int64),
-    )
-    scored = []
-    for h, hits in zip(ordered, agree.tolist()):
-        frac = hits / n_check
-        if frac >= 0.5 + epsilon / 2:
-            scored.append((-frac, h))
-    scored.sort()
-    return [h for _, h in scored]
-
-
-def _agreements(candidates: np.ndarray, points: np.ndarray, answers: np.ndarray) -> np.ndarray:
-    """Per candidate row h, the number of points x with <h, x> mod 2 == answer.
-
-    candidates is (c, k) and points (n_check, k), both 0/1.  Each block is one
-    float32 matrix product; its entries are integers below k <= 400 < 2^24,
-    so the parities are exact.
-    """
-    pts = points.T.astype(np.float32)
-    out = np.empty(len(candidates), dtype=np.int64)
-    rows = max(1, _BLOCK_ELEMENTS // max(points.shape))
-    for start in range(0, len(candidates), rows):
-        block = candidates[start : start + rows].astype(np.float32)
-        parity = (block @ pts) % 2
-        out[start : start + rows] = (parity == answers).sum(axis=1)
-    return out
+    return _ranked(oracle, points, 2, epsilon, len(candidates), candidates.__getitem__)
 
 
 def gl_decode_exhaustive(
@@ -295,8 +256,10 @@ def gl_decode_exhaustive(
     is a fixed function this finds exactly the forms above the threshold,
     with no sampling error, ignores `samples` and draws nothing from rng.
     Larger domains are scored on `samples` uniform points, a desk-scale
-    stand-in for list decoding over larger fields.  Forms come out by
-    falling agreement, ties in lexicographic order.
+    stand-in for list decoding over larger fields.  Form number j is the k
+    base-q digits of j, most significant first, so the forms come in
+    lexicographic order without being listed; they come out by falling
+    agreement, ties in lexicographic order.
     """
     if q**k > enumeration_cap():
         raise ValueError(f"q^k = {q**k} exceeds enumeration cap")
@@ -304,29 +267,38 @@ def gl_decode_exhaustive(
         points = list(enumerate_vectors(k, q))
     else:
         points = [random_vector(k, q, rng) for _ in range(samples)]
-    answers = np.array([oracle(p) for p in points], dtype=np.int64)
-    pts = np.array(points, dtype=np.int64).T  # (k, len(points))
-    threshold = 1 / q + epsilon / 2
-    scored: list[tuple[float, Vector]] = []
-    block: list[Vector] = []
-    block_rows = max(1, _BLOCK_ELEMENTS // len(points))
+    places = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return _ranked(oracle, points, q, epsilon, q**k, lambda j: j[:, None] // places % q)
 
-    def flush():
-        if not block:
-            return
-        cands = np.array(block, dtype=np.int64)
-        agreement = ((cands @ pts) % q == answers[None, :]).mean(axis=1)
-        for i in np.flatnonzero(agreement >= threshold):
-            scored.append((-float(agreement[i]), block[i]))
-        block.clear()
 
-    for h in enumerate_vectors(k, q):
-        block.append(h)
-        if len(block) >= block_rows:
-            flush()
-    flush()
-    scored.sort()
-    return [h for _, h in scored]
+def _ranked(
+    oracle: Callable[[Vector], int],
+    points: list[Vector],
+    q: int,
+    epsilon: float,
+    count: int,
+    forms: Callable[[np.ndarray], np.ndarray],
+) -> list[Vector]:
+    """The forms agreeing with the oracle on at least 1/q + epsilon/2 of points.
+
+    forms(j) gives the candidate forms numbered by the index array j, as
+    rows; there are `count` of them, numbered in lexicographic order.  The
+    oracle is asked at each point once, in order.  Each block of forms is
+    scored by one float32 product whose entries are at most k (q - 1)^2
+    < 2^24, so exact.  Forms come out by falling agreement, ties in
+    lexicographic order.
+    """
+    answers = np.array([oracle(x) for x in points], dtype=np.int32)
+    pts = np.array(points, dtype=np.float32).T  # (k, len(points))
+    rows = max(1, _BLOCK_ELEMENTS // max(pts.shape))
+    hits = np.empty(count, dtype=np.int32)
+    for start in range(0, count, rows):
+        block = forms(np.arange(start, min(start + rows, count)))
+        values = (block.astype(np.float32) @ pts).astype(np.int32) % q
+        hits[start : start + rows] = (values == answers).sum(axis=1)
+    kept = np.flatnonzero(hits / len(points) >= 1 / q + epsilon / 2)
+    kept = kept[np.argsort(-hits[kept], kind="stable")]
+    return list(map(tuple, forms(kept).tolist()))
 
 
 def _decode(
@@ -382,13 +354,14 @@ def trace_invert(
         raise ValueError("epsilon must be positive")
     n, q = key.n, key.q
     k = n * n
-    counts = {"invertible_queries": 0, "singular_queries": 0, "rounds": 0, "candidates": 0}
+    stats = {} if stats is None else stats
+    stats.update(invertible_queries=0, singular_queries=0, rounds=0, candidates=0)
     effective = invertibility_probability(n, q) * epsilon
 
     # query point -> (answer, whether N is invertible)
     answered: dict[Vector, tuple[int, bool]] = {}
     for _ in range(rounds):
-        counts["rounds"] += 1
+        stats["rounds"] += 1
         # a fresh extension: singular points are drawn again, while the
         # predictor's answers at invertible points hold for every round
         answered = {x: hit for x, hit in answered.items() if hit[1]}
@@ -407,20 +380,16 @@ def trace_invert(
                 else:
                     hit = (rng.randrange(q), False)
                 answered[x] = hit
-            counts["invertible_queries" if hit[1] else "singular_queries"] += 1
+            stats["invertible_queries" if hit[1] else "singular_queries"] += 1
             return hit[0]
 
         candidates = _decode(oracle, k, q, effective, 400, rng, confidence)
-        counts["candidates"] += len(candidates)
+        stats["candidates"] += len(candidates)
 
         for h in candidates:
             m = tuple(tuple(h[i * n + j] for j in range(n)) for i in range(n))
             if rank(m, q) == n and evaluate(key, m) == image:
-                if stats is not None:
-                    stats.update(counts)
                 return m
-    if stats is not None:
-        stats.update(counts)
     return None
 
 
@@ -457,14 +426,15 @@ def bilinear_invert(
         raise ValueError("predicate vectors a, b must be nonzero")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    stats = {} if stats is None else stats
+    stats.update(t_queries=0, assignments_tried=0, budget_exhausted=False)
     t_memo: dict[tuple[Vector, Vector], int] = {}
-    counts = {"t_queries": 0, "assignments_tried": 0, "budget_exhausted": False}
 
     def t_oracle(x: Vector, y: Vector) -> int:
         if not any(y) or not any(x):
             return 0  # bilinear form vanishes; no query needed
         if (x, y) not in t_memo:
-            counts["t_queries"] += 1
+            stats["t_queries"] += 1
             a_mat = transpose(random_invertible_mapping(a, x, q, rng))
             b_mat = random_invertible_mapping(y, b, q, rng)
             ctx = BilinearContext(
@@ -485,22 +455,21 @@ def bilinear_invert(
         oracle = functools.partial(t_oracle, g)
         rows = _decode(oracle, n, q, epsilon, 200, rng, confidence)
         if not rows:
-            if stats is not None:
-                stats.update(counts, family=family, empty_decode=True)
+            stats.update(family=family, empty_decode=True)
             return None
         row_lists.append(rows)
 
-    actual = {w: tuple(inner_product(g, w, q) for g in family) for w in image.vectors}
+    actual = dict(zip(image.vectors, mat_vecs(family, image.vectors, q)))
     result = None
     for combo in itertools.product(*row_lists):
-        claimed = {v: tuple(inner_product(h, v, q) for h in combo) for v in key.vectors}
+        claimed = dict(zip(key.vectors, mat_vecs(combo, key.vectors, q)))
         nodes: dict = {}
         matches = iter_matchings(
             key.vectors,
             image.vectors,
             q,
             n,
-            node_budget=assignment_budget - counts["assignments_tried"],
+            node_budget=assignment_budget - stats["assignments_tried"],
             enumerate_completions=False,
             colours=(claimed.__getitem__, actual.__getitem__),
             stats=nodes,
@@ -508,12 +477,10 @@ def bilinear_invert(
         try:
             result = next((m for m in matches if evaluate(key, m) == image), None)
         except BudgetExceededError:
-            counts["budget_exhausted"] = True
+            stats["budget_exhausted"] = True
         finally:
             matches.close()
-            counts["assignments_tried"] += nodes["nodes"]
-        if result is not None or counts["budget_exhausted"]:
+            stats["assignments_tried"] += nodes["nodes"]
+        if result is not None or stats["budget_exhausted"]:
             break
-    if stats is not None:
-        stats.update(counts)
     return result

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .field import Vector, inner_product, mat_vecs, random_invertible, random_vector, rank, validate_modulus
+from .field import Vector, mat_vecs, random_invertible, random_vector, rank, validate_modulus
 from .rng import spawn_rng
 
 Poly = tuple[Fraction, ...]
@@ -101,8 +101,8 @@ def signature_table(
 ) -> dict[tuple[int, ...], int]:
     """Class sizes of the multiset under the projection w -> (<g, w>)_g."""
     classes: dict[tuple[int, ...], int] = {}
-    for w in ws:
-        sig = tuple(inner_product(g, w, q) for g in gs)
+    # an empty family (m = 1) gives every w the empty signature
+    for sig in mat_vecs(gs, ws, q) if gs else [()] * len(ws):
         classes[sig] = classes.get(sig, 0) + 1
     return classes
 

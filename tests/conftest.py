@@ -2,8 +2,10 @@ import functools
 import itertools
 import math
 from collections import Counter
+from operator import mul
 from random import Random
 
+import numpy as np
 from hypothesis import settings, strategies as st
 
 from mvowf.field import (
@@ -318,10 +320,13 @@ def reference_gl_vote_queries(k, epsilon, rng, confidence=0.9):
     ]
 
 
-def reference_exact_decode(answer, k, q, epsilon):
+def reference_exact_decode(answer, k, q, epsilon, points=None):
     """Forms h of F_q^k with <h, x> = answer(x) on at least 1/q + epsilon/2 of
-    all q^k points x, by falling agreement, ties in lexicographic order."""
-    points = list(enumerate_vectors(k, q))
+    the points x, by falling agreement, ties in lexicographic order.  The
+    points default to all q^k of them in lexicographic order; answer is
+    called once per point, in order."""
+    if points is None:
+        points = list(enumerate_vectors(k, q))
     answers = [answer(x) for x in points]
     scored = []
     for h in enumerate_vectors(k, q):
@@ -333,20 +338,84 @@ def reference_exact_decode(answer, k, q, epsilon):
     return [h for _, h in sorted(scored)]
 
 
-# -- reference re-check: the per-candidate loop that hardcore._agreements
-# replaced, one parity bit at a time
+# -- reference Goldreich-Levin: the decoder as it was before its guesses came
+# from a Walsh-Hadamard transform, with a re-check one candidate at a time
 
 
-def reference_agreements(candidates, points, answers):
-    """Per candidate h, the number of points x with <h, x> mod 2 == answer."""
-    packed = [sum(bit << i for i, bit in enumerate(x)) for x in points]
-    out = []
-    for h in candidates:
-        h_int = sum(bit << i for i, bit in enumerate(h))
-        out.append(
-            sum(((h_int & x).bit_count() & 1) == answers[j] for j, x in enumerate(packed))
-        )
-    return out
+def reference_agreements(candidates, points, answers, q):
+    """Per candidate h, the number of points x with <h, x> mod q == answer.
+
+    At q = 2 one parity bit at a time on packed ints, else one sum of
+    products at a time.
+    """
+    if q == 2:
+        packed = [sum(bit << i for i, bit in enumerate(x)) for x in points]
+        out = []
+        for h in candidates:
+            h_int = sum(bit << i for i, bit in enumerate(h))
+            out.append(sum(((h_int & x).bit_count() & 1) == y for x, y in zip(packed, answers)))
+        return out
+    return [
+        sum(sum(map(mul, h, x)) % q == y for x, y in zip(points, answers))
+        for h in candidates
+    ]
+
+
+def reference_goldreich_levin_f2(oracle, k, epsilon, rng, confidence=0.9):
+    """goldreich_levin_f2 with guesses from a correlation matrix.
+
+    Queries the same points in the same order and draws the same values
+    from rng.  ones[i, b], the subsets voting h_i = 1 under guess b, comes
+    from a float32 product of the votes with parity(b & mask), built from a
+    parity table in chunks of guesses; the survivors are re-checked by
+    reference_agreements.
+    """
+    if k > 400:
+        raise ValueError("decode dimension capped at 400")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    delta = max(1e-9, 1.0 - confidence)
+    needed = k / (4 * epsilon * epsilon * delta)
+    t = min(16, max(1, math.ceil(math.log2(needed + 1))))
+    nsub = 2**t - 1
+
+    refs = [rng.getrandbits(k) for _ in range(t)]
+    masks = np.arange(1, nsub + 1, dtype=np.uint16)
+    mask_bits = (masks[:, None] >> np.arange(t)) & 1
+    ref_bits = np.array([[(r >> i) & 1 for i in range(k)] for r in refs], dtype=np.int64)
+    sums = ((mask_bits @ ref_bits) & 1).astype(np.uint8)
+    votes = np.empty((k, nsub), dtype=np.float32)
+    for i in range(k):
+        sums[:, i] ^= 1
+        votes[i] = [oracle(x) for x in map(tuple, sums.tolist())]
+        sums[:, i] ^= 1
+
+    parity = np.array([x.bit_count() & 1 for x in range(2**t)], dtype=np.uint8)
+    vote_totals = votes.sum(axis=1)
+    candidates = set()
+    chunk = max(1, (1 << 22) // nsub)
+    for start in range(0, 2**t, chunk):
+        guesses = np.arange(start, min(start + chunk, 2**t), dtype=np.uint16)
+        corr = parity[guesses[:, None] & masks[None, :]].astype(np.float32)
+        ones = vote_totals[:, None] + corr.sum(axis=1)[None, :] - 2.0 * (votes @ corr.T)
+        hbits = (ones > nsub / 2.0).astype(np.uint8)
+        candidates.update(map(tuple, np.unique(hbits.T, axis=0).tolist()))
+
+    n_check = max(
+        64,
+        math.ceil(2 * math.log(2 * max(len(candidates), 2) / delta) / (epsilon * epsilon)),
+    )
+    draws = [rng.getrandbits(k) for _ in range(n_check)]
+    points = [tuple((x >> i) & 1 for i in range(k)) for x in draws]
+    answers = [oracle(x) for x in points]
+    ordered = sorted(candidates)
+    scored = []
+    for h, hits in zip(ordered, reference_agreements(ordered, points, answers, 2)):
+        frac = hits / n_check
+        if frac >= 0.5 + epsilon / 2:
+            scored.append((-frac, h))
+    scored.sort()
+    return [h for _, h in scored]
 
 
 # -- reference searches: the matching engine and the GL_n enumeration as they

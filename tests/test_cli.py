@@ -184,6 +184,38 @@ def test_hardcore_bilinear_cli(capsys):
 
 
 @pytest.mark.parametrize(
+    "args, stdout",
+    [
+        (
+            ["hardcore-trace", "--q", "2", "--n", "4", "--seed", "1"],
+            '{\n  "candidates": 1,\n  "epsilon": 0.5,\n  "invertible_queries": 20473,\n'
+            '  "m": 24,\n  "matches_planted": true,\n  "n": 4,\n  "predictor_queries": 12735,\n'
+            '  "q": 2,\n  "recovered": true,\n  "rounds": 1,\n  "singular_queries": 46060\n}\n',
+        ),
+        (
+            ["hardcore-trace", "--q", "3", "--n", "3", "--seed", "1"],
+            '{\n  "candidates": 1,\n  "epsilon": 0.6666666666666667,\n'
+            '  "invertible_queries": 266,\n  "m": 8,\n  "matches_planted": true,\n  "n": 3,\n'
+            '  "predictor_queries": 261,\n  "q": 3,\n  "recovered": true,\n  "rounds": 1,\n'
+            '  "singular_queries": 232\n}\n',
+        ),
+        (
+            ["hardcore-bilinear", "--q", "2", "--n", "4", "--delta", "4", "--seed", "11"],
+            '{\n  "assignments_tried": 6,\n  "epsilon": 0.5,\n  "m": 8,\n'
+            '  "matches_planted": true,\n  "n": 4,\n  "predictor_queries": 60,\n  "q": 2,\n'
+            '  "recovered": true,\n  "t_queries": 60\n}\n',
+        ),
+    ],
+    ids=["trace-gl", "trace-sampled", "bilinear-exact"],
+)
+def test_hardcore_seeded_stdout(args, stdout, capsys):
+    """One seeded run down each decoder path: Goldreich-Levin (q = 2, k = 16),
+    sampled scoring (q = 3, k = 9) and exact scoring (q = 2, k = 4)."""
+    assert run(args) == 0
+    assert capsys.readouterr().out == stdout
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["hardcore-trace", "--q", "2", "--n", "2", "--seed", "9"],

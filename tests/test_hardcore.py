@@ -1,5 +1,6 @@
 """Predictor oracles, list decoding, and the two inversion reductions."""
 
+from operator import mul
 from random import Random
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import (
     reference_bilinear_invert,
     reference_exact_decode,
     reference_gl_vote_queries,
+    reference_goldreich_levin_f2,
 )
 from mvowf import hardcore
 from mvowf.field import (
@@ -268,33 +270,91 @@ def test_gl_vote_queries_match_reference(k, epsilon):
 @st.composite
 def recheck_inputs(draw):
     """Candidates, check points and answers for the re-check, plus a block size."""
+    q = draw(st.sampled_from([2, 3, 5]))
     k = draw(st.integers(1, 80))
     n_check = draw(st.integers(1, 100))
-    rows = st.integers(0, 2**k - 1).map(lambda x: tuple((x >> i) & 1 for i in range(k)))
-    candidates = draw(st.lists(rows, max_size=300))
+    rows = st.integers(0, q**k - 1).map(lambda x: tuple(x // q**i % q for i in range(k)))
+    candidates = sorted(draw(st.lists(rows, max_size=300)))
     points = draw(st.lists(rows, min_size=n_check, max_size=n_check))
-    answers = draw(st.lists(st.integers(0, 1), min_size=n_check, max_size=n_check))
+    answers = draw(st.lists(st.integers(0, q - 1), min_size=n_check, max_size=n_check))
+    # or a threshold 1/q + epsilon/2 that some count c reaches exactly
+    at_count = st.integers(0, n_check).map(lambda c: 2 * (c / n_check - 1 / q))
+    epsilon = draw(st.floats(0.0, 1 - 1 / q) | at_count)
     block_rows = draw(st.integers(1, 40))
-    return k, candidates, points, answers, block_rows
+    return q, k, candidates, points, answers, epsilon, block_rows
 
 
 @settings(max_examples=200, deadline=None)
 @given(recheck_inputs())
 def test_recheck_matches_scalar_reference(inputs):
-    """Blocked matrix-product agreement counts equal the one-bit-at-a-time loop.
+    """Blocked matrix-product scoring equals counting agreements one by one.
 
-    k crosses 64 bits, and the block budget is shrunk so that most examples
-    split the candidates over several blocks.
+    The oracle is asked at each point once, in order; the forms kept are
+    those with at least 1/q + epsilon/2 agreement, by falling count, ties in
+    lexicographic order.  k crosses 64 bits, and the block budget is shrunk
+    so that most examples split the candidates over several blocks.
     """
-    k, candidates, points, answers, block_rows = inputs
+    q, k, candidates, points, answers, epsilon, block_rows = inputs
+    calls = []
+    answer = iter(answers)
+
+    def oracle(x):
+        calls.append(x)
+        return next(answer)
+
+    forms = np.array(candidates, dtype=np.uint8).reshape(len(candidates), k)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hardcore, "_BLOCK_ELEMENTS", block_rows * max(k, len(points)))
-        got = hardcore._agreements(
-            np.array(candidates, dtype=np.uint8).reshape(len(candidates), k),
-            np.array(points, dtype=np.uint8),
-            np.array(answers, dtype=np.int64),
-        )
-    assert got.tolist() == reference_agreements(candidates, points, answers)
+        got = hardcore._ranked(oracle, points, q, epsilon, len(forms), forms.__getitem__)
+    assert calls == points
+    counts = reference_agreements(candidates, points, answers, q)
+    kept = [(-c, h) for c, h in zip(counts, candidates) if c / len(points) >= 1 / q + epsilon / 2]
+    assert got == [h for _, h in sorted(kept)]
+
+
+@st.composite
+def gl_inputs(draw):
+    """A planted form, a noisy oracle's salt, and decoder parameters with at
+    most 2^11 guesses."""
+    k = draw(st.integers(1, 80))
+    h = tuple(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)))
+    epsilon = draw(st.floats(0.15, 0.5))
+    # t = ceil(log2(k / (4 epsilon^2 delta) + 1)) <= 11
+    delta = draw(st.floats(min(0.5, 1.01 * k / (4 * epsilon * epsilon * 2047)), 0.5))
+    p_right = draw(st.floats(0.5, 1.0))
+    salt = draw(st.integers(0, 2**32))
+    block_rows = draw(st.integers(1, 40))
+    return k, h, epsilon, 1 - delta, p_right, salt, block_rows
+
+
+@settings(max_examples=20, deadline=None)
+@given(gl_inputs(), st.integers(0, 2**32))
+def test_gl_decode_matches_reference(inputs, seed):
+    """The transform's guesses and the blocked re-check give the old decoder's
+    list, oracle calls and rng draws."""
+    k, h, epsilon, confidence, p_right, salt, block_rows = inputs
+
+    def answer(x):
+        # a fixed function of x, wrong where a hash of x lands above p_right;
+        # unlike a memo it keeps nothing per point
+        value = sum(map(mul, h, x)) % 2
+        spread = (hash(x) ^ salt) * 0x9E3779B97F4A7C15 % 2**64 / 2**64
+        return value if spread < p_right else 1 - value
+
+    def recording(calls):
+        return lambda x: calls.append(hash(x)) or answer(x)
+
+    calls, expected_calls = [], []
+    rng, expected_rng = Random(seed), Random(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hardcore, "_BLOCK_ELEMENTS", block_rows * 64)
+        got = goldreich_levin_f2(recording(calls), k, epsilon, rng, confidence)
+    expected = reference_goldreich_levin_f2(
+        recording(expected_calls), k, epsilon, expected_rng, confidence
+    )
+    assert got == expected
+    assert calls == expected_calls
+    assert rng.getstate() == expected_rng.getstate()
 
 
 def test_exhaustive_decode_agrees_with_f2():
@@ -375,6 +435,38 @@ def test_exact_decode_matches_reference(inputs):
     planted = sum(sum(a * b for a, b in zip(h, x)) % q == y for x, y in memo.items())
     if planted / q**k >= 1 / q + epsilon:
         assert h in got
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_decode_inputs())
+def test_sampled_decode_matches_reference(inputs):
+    """With the exact-domain cap at 0 every domain takes the sampled path: the
+    decoder asks the oracle at `samples` uniform points drawn from rng, in
+    order, and scores every form against them."""
+    q, k, h, p_right, epsilon, noise_seed, block_rows, samples = inputs
+    samples = max(1, samples)
+    noise = Random(noise_seed)
+    memo: dict = {}
+    calls = []
+
+    def oracle(x):
+        calls.append(x)
+        if x not in memo:
+            value = sum(a * b for a, b in zip(h, x)) % q
+            if noise.random() >= p_right:
+                value = (value + 1 + noise.randrange(q - 1)) % q
+            memo[x] = value
+        return memo[x]
+
+    rng, expected_rng = Random(44), Random(44)
+    points = [random_vector(k, q, expected_rng) for _ in range(samples)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hardcore, "_EXACT_DOMAIN", 0)
+        mp.setattr(hardcore, "_BLOCK_ELEMENTS", block_rows * max(k, samples))
+        got = gl_decode_exhaustive(oracle, k, q, epsilon, samples, rng)
+    assert rng.getstate() == expected_rng.getstate()
+    assert calls == points
+    assert got == reference_exact_decode(memo.__getitem__, k, q, epsilon, points)
 
 
 def test_exact_decode_at_the_domain_cap():

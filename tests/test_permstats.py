@@ -96,18 +96,20 @@ def test_poly_eval_matches_product_form(k, z):
 
 
 def test_count_signature_preserving_matches_enumeration():
+    """q in {2, 3, 5}, families of 0 to 3 vectors; an empty one gives every w
+    the same signature."""
     rng = Random(14)
-    for _ in range(30):
-        m = rng.randrange(2, 7)
-        ws = [random_vector(4, 2, rng) for _ in range(m)]
-        gs = [random_vector(4, 2, rng) for _ in range(3)]
-        sigs = [tuple(inner_product(g, w, 2) for g in gs) for w in ws]
+    for q in [2, 3, 5] * 10:
+        m = rng.randrange(1, 7)
+        ws = [random_vector(4, q, rng) for _ in range(m)]
+        gs = [random_vector(4, q, rng) for _ in range(rng.randrange(4))]
+        sigs = [tuple(inner_product(g, w, q) for g in gs) for w in ws]
         brute = sum(
             1
             for p in itertools.permutations(range(m))
             if all(sigs[i] == sigs[p[i]] for i in range(m))
         )
-        assert count_signature_preserving(ws, gs, 2) == brute
+        assert count_signature_preserving(ws, gs, q) == brute
 
 
 def test_all_distinct_signatures_give_one():
