@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
+from operator import mul
 from random import Random
 from typing import Callable
 
@@ -24,8 +25,10 @@ from .field import (
     Vector,
     enumerate_vectors,
     enumeration_cap,
+    identity,
     inner_product,
     invertibility_probability,
+    is_invertible,
     mat_inverse,
     mat_mul,
     mat_vec,
@@ -35,7 +38,7 @@ from .field import (
     random_vector,
     transpose,
 )
-from .owf import BudgetExceededError, OwfImage, OwfKey, evaluate, iter_matchings, transform_image
+from .owf import BudgetExceededError, OwfImage, OwfKey, RowImages, evaluate, iter_matchings
 from .permstats import projection_family_size, sample_projection_family
 
 
@@ -74,9 +77,12 @@ class Predictor:
 
     def query(self, context):
         self.query_count += 1
-        if context not in self._memo:
-            self._memo[context] = self._answer(context)
-        return self._memo[context]
+        try:
+            return self._memo[context]  # one hash of the context on a hit
+        except KeyError:
+            pass
+        answer = self._memo[context] = self._answer(context)
+        return answer
 
 
 def make_noisy_predictor(
@@ -101,9 +107,19 @@ def make_noisy_predictor(
 
 
 def make_trace_truth(m0: Matrix, q: int) -> Callable[[BilinearContext], int]:
-    """Ground truth oracle for the trace of a context's underlying preimage."""
+    """Ground truth oracle for the trace of a context's underlying preimage.
+
+    With no right transform the preimage is L M0 (L the left transform, or
+    the identity), and trace(L M0) is the sum over i of <row i of L,
+    column i of M0>: n inner products instead of a matrix product.  A
+    context with a right transform falls back to implied_matrix.
+    """
+    cols = transpose(m0)
 
     def truth(ctx: BilinearContext) -> int:
+        if ctx.right is None:
+            left = identity(len(m0)) if ctx.left is None else ctx.left
+            return sum(map(mul, itertools.chain(*left), itertools.chain(*cols))) % q
         m = ctx.implied_matrix(m0, q)
         return sum(m[i][i] for i in range(len(m))) % q
 
@@ -113,10 +129,18 @@ def make_trace_truth(m0: Matrix, q: int) -> Callable[[BilinearContext], int]:
 def make_bilinear_truth(
     m0: Matrix, a: Vector, b: Vector, q: int
 ) -> Callable[[BilinearContext], int]:
-    """Ground truth oracle for <a, M' b> on a context's underlying preimage."""
+    """Ground truth oracle for <a, M' b> on a context's underlying preimage.
+
+    M' = L M0 R^-1 (L, R the left and right transforms, each the identity
+    when absent), and <a, M' b> = <L^T a, M0 (R^-1 b)>: one mat_inverse for
+    R and three matrix-vector products instead of two matrix products.
+    This covers every context shape, so implied_matrix is never needed.
+    """
 
     def truth(ctx: BilinearContext) -> int:
-        return inner_product(a, mat_vec(ctx.implied_matrix(m0, q), b, q), q)
+        x = a if ctx.left is None else [sum(map(mul, a, col)) for col in zip(*ctx.left)]
+        y = b if ctx.right is None else [sum(map(mul, row, b)) for row in mat_inverse(ctx.right, q)]
+        return sum(map(mul, x, [sum(map(mul, row, y)) for row in m0])) % q
 
     return truth
 
@@ -265,6 +289,8 @@ def gl_decode_exhaustive(
         raise ValueError(f"q^k = {q**k} exceeds enumeration cap")
     if q**k <= _EXACT_DOMAIN:
         points = list(enumerate_vectors(k, q))
+    elif samples < 1:
+        raise ValueError(f"samples must be at least 1 when q^k > {_EXACT_DOMAIN}, got {samples}")
     else:
         points = [random_vector(k, q, rng) for _ in range(samples)]
     places = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
@@ -340,9 +366,11 @@ def trace_invert(
     invertible fraction alpha.  A single draw of those values yields a usable
     oracle only with constant probability (at n = 2 most of the domain is
     singular), so up to `rounds` fresh extensions are tried.  Each distinct
-    point is answered once: only its first query builds N, checks its rank
-    and, if N is invertible, asks the predictor, whose answer then serves
-    every later round too, so the predictor sees at most |GL_n(F_q)| queries.
+    point is answered once: only its first query builds N, looks up whether
+    it is invertible (field.is_invertible, memoised) and, if it is, asks the
+    predictor on N * image, read off one RowImages table of the image built
+    per call; that answer then serves every later round too, so the
+    predictor sees at most |GL_n(F_q)| queries.
     When q^(n^2) <= 2^12 (n <= 3 at q = 2, n = 2 at q <= 7) each round
     decodes exactly: gl_decode_exhaustive queries every point once and keeps
     every form above 1/q + alpha epsilon / 2 on that round's extension (see
@@ -358,6 +386,8 @@ def trace_invert(
     stats.update(invertible_queries=0, singular_queries=0, rounds=0, candidates=0)
     effective = invertibility_probability(n, q) * epsilon
 
+    # N*image is read off a table of the image's q^n possible row images
+    row_images = RowImages(image.vectors, q).__getitem__
     # query point -> (answer, whether N is invertible)
     answered: dict[Vector, tuple[int, bool]] = {}
     for _ in range(rounds):
@@ -369,10 +399,10 @@ def trace_invert(
         def oracle(x: Vector) -> int:
             hit = answered.get(x)
             if hit is None:
-                mat_n = tuple(tuple(x[j * n + i] for j in range(n)) for i in range(n))
-                if rank(mat_n, q) == n:
+                mat_n = tuple([x[i::n] for i in range(n)])  # vec(N^T) = x
+                if is_invertible(mat_n, q):
                     ctx = BilinearContext(
-                        image=transform_image(mat_n, image, q).vectors,
+                        image=tuple(sorted(zip(*map(row_images, mat_n)))),
                         basis=key.vectors,
                         left=mat_n,
                     )
@@ -419,7 +449,9 @@ def bilinear_invert(
     (<g, w>)_g, stopping at its first verified preimage.  The engine's
     nodes, summed over the combos, count as assignments_tried and stop the
     search at assignment_budget.  When q^n <= 2^12 each decode is exact,
-    every y queried once (see _decode).
+    every y queried once (see _decode).  Each new (x, y) costs two
+    random_invertible_mapping draws, and A * image and B * key are read off
+    two RowImages tables (image and key) built per call.
     """
     n, q = key.n, key.q
     if not any(a) or not any(b):
@@ -429,6 +461,9 @@ def bilinear_invert(
     stats = {} if stats is None else stats
     stats.update(t_queries=0, assignments_tried=0, budget_exhausted=False)
     t_memo: dict[tuple[Vector, Vector], int] = {}
+    # A*image and B*key are read off tables of their q^n possible row images
+    image_rows = RowImages(image.vectors, q).__getitem__
+    key_rows = RowImages(key.vectors, q).__getitem__
 
     def t_oracle(x: Vector, y: Vector) -> int:
         if not any(y) or not any(x):
@@ -438,8 +473,8 @@ def bilinear_invert(
             a_mat = transpose(random_invertible_mapping(a, x, q, rng))
             b_mat = random_invertible_mapping(y, b, q, rng)
             ctx = BilinearContext(
-                image=transform_image(a_mat, image, q).vectors,
-                basis=tuple(mat_vecs(b_mat, key.vectors, q)),
+                image=tuple(sorted(zip(*map(image_rows, a_mat)))),
+                basis=tuple(zip(*map(key_rows, b_mat))),
                 left=a_mat,
                 right=b_mat,
             )

@@ -24,6 +24,7 @@ from .field import (
     enumerate_invertible,
     enumerate_vectors,
     identity,
+    linear_map,
     mat_inverse,
     mat_mul,
     mat_vecs,
@@ -136,6 +137,38 @@ def transform_image(a: Matrix, image: OwfImage, q: int) -> OwfImage:
     """Sorted multiset A*W; equals evaluate at A*M when W = evaluate at M."""
     check_entries(a, q, "matrix")
     return OwfImage(tuple(sorted(mat_vecs(a, image.vectors, q))))
+
+
+class RowImages(dict):
+    """Row r -> (<r, w> for w in vectors), each row multiplied out once.
+
+    Coordinate i of A w is <row i of A, w>, so for a matrix A over F_q the
+    table's rows for A, zipped, are the A w in the order of the vectors:
+    tuple(zip(*map(table.__getitem__, A))) is A*W in that order, and sorted
+    it is transform_image(A, W, q).vectors.  A row is filled on its first
+    lookup, range- and length-checked first (a bad one raises ValueError
+    and is not stored), from the vectors packed once (field.linear_map).
+    With all_rows=True every row of F_q^n is filled at once, in one
+    mat_vecs.  The table holds at most q^n rows.
+    """
+
+    def __init__(self, vectors: Sequence[Vector], q: int, all_rows: bool = False) -> None:
+        super().__init__()
+        self._vectors = vectors
+        self._q = q
+        self._apply: Callable[[Vector], Vector] | None = None  # packed on the first miss
+        if all_rows:
+            rows = list(enumerate_vectors(len(vectors[0]), q))
+            self.update(zip(rows, zip(*mat_vecs(rows, vectors, q))))
+
+    def __missing__(self, row: Vector) -> Vector:
+        if len(row) != len(self._vectors[0]):
+            raise ValueError("dimension mismatch")
+        check_entries((row,), self._q, "matrix")
+        if self._apply is None:
+            self._apply = linear_map(self._vectors, self._q)
+        images = self[row] = self._apply(row)
+        return images
 
 
 # -- multiset matching search ------------------------------------------------
@@ -351,14 +384,12 @@ def invert_exhaustive(key: OwfKey, image: OwfImage) -> Matrix | None:
     """Scan all of GL_n(F_q) for a preimage; None when the scan exhausts.
 
     Returns the first M in `enumerate_invertible` order with M*V = image.
-    Coordinate i of M v is <row i of M, v>, so one `mat_vecs` per call builds
-    table[r] = (<r, v> for v in V) for each of the q^n possible rows r, and
-    the columns of (table[M[0]], ..., table[M[n-1]]) are the M v.
+    Each M v is read off one RowImages table of the key, filled with all
+    q^n possible rows at once.
     """
     # enumerate_invertible yields only in-range invertible matrices, so
     # evaluate's shape, range and rank checks would be repeated work
-    rows = list(enumerate_vectors(key.n, key.q))
-    table = dict(zip(rows, zip(*mat_vecs(rows, key.vectors, key.q))))
+    table = RowImages(key.vectors, key.q, all_rows=True)
     target = list(image.vectors)
     for m in enumerate_invertible(key.n, key.q):
         if sorted(zip(*map(table.__getitem__, m))) == target:

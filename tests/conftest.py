@@ -15,8 +15,11 @@ from mvowf.field import (
     enumerate_invertible,
     enumerate_vectors,
     inner_product,
+    invertibility_probability,
+    mat_vec,
     mat_vecs,
     random_invertible_mapping,
+    rank,
     scalar_inv,
     solve_linear_invertible,
     transpose,
@@ -606,6 +609,68 @@ def reference_iter_matchings(
     yield from extend(0)
     if stats is not None:
         stats["nodes"] = nodes
+
+
+# -- reference per-query work: the predicate truths through the full matrix
+# L M0 R^-1, and the trace reduction with a fresh rank and transform_image
+# for each query matrix, as they were before the row-image tables and the
+# memoised invertibility test
+
+
+def reference_trace_truth(m0, q):
+    """Trace of each context's implied matrix."""
+
+    def truth(ctx):
+        m = ctx.implied_matrix(m0, q)
+        return sum(m[i][i] for i in range(len(m))) % q
+
+    return truth
+
+
+def reference_bilinear_truth(m0, a, b, q):
+    """<a, M' b> for each context's implied matrix M'."""
+
+    def truth(ctx):
+        return inner_product(a, mat_vec(ctx.implied_matrix(m0, q), b, q), q)
+
+    return truth
+
+
+def reference_trace_invert(key, image, predictor, epsilon, rng, confidence=0.95, rounds=4, stats=None):
+    """trace_invert with one rank and one transform_image per new query point."""
+    n, q = key.n, key.q
+    stats = {} if stats is None else stats
+    stats.update(invertible_queries=0, singular_queries=0, rounds=0, candidates=0)
+    effective = invertibility_probability(n, q) * epsilon
+    answered = {}
+    for _ in range(rounds):
+        stats["rounds"] += 1
+        answered = {x: hit for x, hit in answered.items() if hit[1]}
+
+        def oracle(x):
+            hit = answered.get(x)
+            if hit is None:
+                mat_n = tuple(tuple(x[j * n + i] for j in range(n)) for i in range(n))
+                if rank(mat_n, q) == n:
+                    ctx = BilinearContext(
+                        image=transform_image(mat_n, image, q).vectors,
+                        basis=key.vectors,
+                        left=mat_n,
+                    )
+                    hit = (predictor.query(ctx), True)
+                else:
+                    hit = (rng.randrange(q), False)
+                answered[x] = hit
+            stats["invertible_queries" if hit[1] else "singular_queries"] += 1
+            return hit[0]
+
+        candidates = _decode(oracle, n * n, q, effective, 400, rng, confidence)
+        stats["candidates"] += len(candidates)
+        for h in candidates:
+            m = tuple(tuple(h[i * n + j] for j in range(n)) for i in range(n))
+            if rank(m, q) == n and evaluate(key, m) == image:
+                return m
+    return None
 
 
 # -- reference reduction: the bilinear reduction as it was before it ran its

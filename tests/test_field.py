@@ -1,5 +1,6 @@
 """Field arithmetic and dense linear algebra over F_q."""
 
+import itertools
 import time
 from collections import Counter
 from itertools import product
@@ -451,6 +452,49 @@ def test_echelon_rank_and_undo(q, n, k, data):
         assert echelon.pivots == states.pop()
         if states:
             echelon.pop()
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(0, 3), st.integers(0, 5), st.data())
+@settings(max_examples=150)
+def test_echelon_pack_all_matches_pack(q, n, extra, k, data):
+    """pack_all packs a whole system as pack does row by row; unpack_all undoes it."""
+    rows = data.draw(st.lists(vectors(q, n + extra), min_size=k, max_size=k))
+    echelon = Echelon(q, n, extra)
+    packed = echelon.pack_all(itertools.chain.from_iterable(rows))
+    assert packed == [echelon.pack(row) for row in rows]
+    assert echelon.unpack_all(packed) == tuple(itertools.chain.from_iterable(rows))
+
+
+@pytest.mark.parametrize("q, bad", [(2, 2), (2, -1), (2, 300), (3, 3), (5, -1)])
+def test_echelon_pack_all_rejects_out_of_range(q, bad):
+    with pytest.raises(ValueError, match=f"entry {bad} out of range"):
+        Echelon(q, 2, 2).pack_all((1, 0, 0, 1, 0, bad, 1, 0))
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.data())
+@settings(max_examples=200)
+def test_is_invertible_lookup_matches_rank(q, n, data):
+    m = data.draw(matrices(q, n, n))
+    for _ in range(2):  # the second answer comes from the memo
+        assert is_invertible(m, q) == (reference_rank(m, q) == n)
+
+
+def test_is_invertible_memo_keyed_by_modulus():
+    m = ((1, 1, 0), (0, 1, 1), (1, 0, 1))  # determinant 2
+    assert not is_invertible(m, 2)
+    assert is_invertible(m, 3)
+    assert not is_invertible(m, 2)
+    assert rank(m, 2) == 2 and rank(m, 3) == 3
+
+
+def test_is_invertible_bad_entry_not_cached():
+    bad = ((1, 2), (0, 1))
+    size = is_invertible.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="out of range"):
+            is_invertible(bad, 2)
+    assert is_invertible.cache_info().currsize == size
+    assert is_invertible(bad, 3)
 
 
 @pytest.mark.parametrize("q", [2, 3])

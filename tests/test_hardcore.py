@@ -10,9 +10,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     reference_agreements,
     reference_bilinear_invert,
+    reference_bilinear_truth,
     reference_exact_decode,
     reference_gl_vote_queries,
     reference_goldreich_levin_f2,
+    reference_trace_invert,
+    reference_trace_truth,
 )
 from mvowf import hardcore
 from mvowf.field import (
@@ -157,6 +160,25 @@ def test_bilinear_truth_unit_vectors_on_identity():
     e1 = (1, 0, 0, 0)
     ctx = BilinearContext(image=(), basis=())
     assert make_bilinear_truth(identity(4), e1, e1, 2)(ctx) == 1
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(0, 2**32))
+@settings(max_examples=150)
+def test_truths_match_implied_matrix(q, n, seed):
+    """Both truths agree with the implied_matrix versions on every context
+    shape: none, left only, right only, left and right."""
+    rng = Random(seed)
+    m0 = random_invertible(n, q, rng)
+    a, b = random_vector(n, q, rng), random_vector(n, q, rng)
+    left, right = random_invertible(n, q, rng), random_invertible(n, q, rng)
+    truths = [
+        (make_trace_truth(m0, q), reference_trace_truth(m0, q)),
+        (make_bilinear_truth(m0, a, b, q), reference_bilinear_truth(m0, a, b, q)),
+    ]
+    for lhs, rhs in [(None, None), (left, None), (None, right), (left, right)]:
+        ctx = BilinearContext(image=(), basis=(), left=lhs, right=rhs)
+        for truth, reference in truths:
+            assert truth(ctx) == reference(ctx)
 
 
 # -- subspace adversary -------------------------------------------------------
@@ -469,6 +491,13 @@ def test_sampled_decode_matches_reference(inputs):
     assert got == reference_exact_decode(memo.__getitem__, k, q, epsilon, points)
 
 
+def test_sampled_decode_rejects_no_samples():
+    with pytest.raises(ValueError, match="samples"):
+        gl_decode_exhaustive(lambda x: 0, 13, 2, 0.3, 0, Random(1))
+    # below the exact-domain cap samples is ignored
+    assert gl_decode_exhaustive(lambda x: 0, 3, 2, 0.3, 0, Random(1))[0] == (0, 0, 0)
+
+
 def test_exact_decode_at_the_domain_cap():
     """At q^k = 2^12 every point is asked once; above it the decoder samples."""
     h = tuple(i % 2 for i in range(12))
@@ -733,3 +762,70 @@ def test_bilinear_invert_budget_surfaced():
         key, image, predictor, a, b, 0.5, rng, assignment_budget=0, stats=stats
     )
     assert got is None and stats["budget_exhausted"]
+
+
+# -- per-query work against the per-query references ----------------------------
+
+
+def _recording_predictor(truth, epsilon, q, rng):
+    """A noisy predictor and the list of the contexts it evaluated, in order,
+    transforms included."""
+    seen = []
+
+    def record(ctx):
+        seen.append((ctx.image, ctx.basis, ctx.left, ctx.right))
+        return truth(ctx)
+
+    return make_noisy_predictor(record, epsilon, q, rng), seen
+
+
+@given(st.sampled_from([(2, 2), (3, 2), (5, 2), (2, 3)]), st.sampled_from([0.2, 0.5]), st.integers(0, 2**32))
+@settings(max_examples=12)
+def test_trace_invert_matches_reference(qn, epsilon, seed):
+    """Same contexts in order, same result, same stats and the same next rng
+    draw as the reduction with a fresh rank and transform_image per query."""
+    q, n = qn
+    epsilon = min(epsilon, 1 - 1 / q)
+    rng = Random(seed)
+    key = keygen(q, n, delta=2, rng=rng)
+    m0 = random_invertible(n, q, rng)
+    image = evaluate(key, m0)
+    outcomes = []
+    for invert, truth in [
+        (trace_invert, make_trace_truth(m0, q)),
+        (reference_trace_invert, reference_trace_truth(m0, q)),
+    ]:
+        r = Random(seed + 1)
+        predictor, seen = _recording_predictor(truth, epsilon, q, r)
+        stats = {}
+        got = invert(key, image, predictor, epsilon, r, rounds=2, stats=stats)
+        outcomes.append((got, stats, seen, predictor.query_count, r.random()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][2]  # the predictor was asked
+
+
+@pytest.mark.parametrize("q, n, epsilon, seeds", [(2, 4, 0.5, range(3)), (2, 4, 0.2, range(3)), (3, 3, 2 / 3, range(2))])
+def test_bilinear_invert_queries_match_reference(q, n, epsilon, seeds):
+    """Same contexts in order, same result, t_queries and next rng draw as the
+    reduction with transform_image and mat_vecs per query.  The reference's
+    assignments_tried counts its own matcher's permutations, so it is not
+    compared."""
+    a = (1,) + (0,) * (n - 1)
+    b = (0, 1) + (0,) * (n - 2)
+    for seed in seeds:
+        rng = Random(seed)
+        key = keygen(q, n, delta=4, rng=rng)
+        m0 = random_invertible(n, q, rng)
+        image = evaluate(key, m0)
+        outcomes = []
+        for invert, truth in [
+            (bilinear_invert, make_bilinear_truth(m0, a, b, q)),
+            (reference_bilinear_invert, reference_bilinear_truth(m0, a, b, q)),
+        ]:
+            r = Random(seed + 1)
+            predictor, seen = _recording_predictor(truth, epsilon, q, r)
+            stats = {}
+            got = invert(key, image, predictor, a, b, epsilon, r, stats=stats)
+            outcomes.append((got, stats["t_queries"], seen, r.random()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] > 0
