@@ -4,9 +4,8 @@ Vectors are tuples of ints in [0, q), matrices are tuples of row tuples.
 Everything is immutable and hashable; tuple comparison gives the
 lexicographic order (index 0 most significant) used for canonical images.
 
-Matrix-vector products have one packing, used by `mat_vecs`, which does the
-per-matrix work once for a whole batch of vectors, and by `linear_map`,
-which does it once for vectors that come one at a time.  For q = 2 each row of M
+Matrix-vector products have one kernel, `mat_vecs`, which does the
+per-matrix work once for a whole batch of vectors.  For q = 2 each row of M
 is an int whose bit j is column j, and coordinate i of M v is the parity of
 popcount(row_i & v).  For q > 2 column j of M is one int holding M[i][j] in
 lane i, each lane w = (n (q-1)^2).bit_length() bits wide for an M with n
@@ -26,11 +25,7 @@ coordinate 0 at the top bit, so XOR is the row operation and a pivot's top
 bit is its column; at q > 2 a row is a tuple, and each pivot is normalised
 to 1 at its column.  Either way packed rows compare like the vectors they
 pack (index 0 most significant), so a row's head is zero exactly when the
-row lies below `Echelon.bound`.  `Echelon.pack_all` packs a whole system
-at once; at q = 2 it reads every entry as one binary numeral.
-
-`is_invertible` is memoised per (matrix, q) in a bounded cache, so the
-reductions' repeated tests of the same small matrices are lookups.
+row lies below `Echelon.bound`.
 
 Every routine that reads entries (`Echelon.pack`, and so `rank`,
 `mat_inverse` and `solve_linear`, and `check_entries`) rejects one outside
@@ -44,7 +39,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import mul
 from random import Random
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -149,7 +144,10 @@ def mat_vecs(m: Matrix, vs: Sequence[Vector], q: int) -> list[Vector]:
             tuple([(row & x).bit_count() & 1 for row in rows])
             for x in (sum(map(mul, v, weights)) for v in vs)
         ]
-    cols, shifts, mask = _pack_lanes(m, q)
+    width = (n * (q - 1) ** 2).bit_length()
+    mask = (1 << width) - 1
+    shifts = range(0, width * len(m), width)
+    cols = [sum(e << s for e, s in zip(col, shifts)) for col in zip(*m)]
     out = []
     for v in vs:
         acc = 0
@@ -160,49 +158,12 @@ def mat_vecs(m: Matrix, vs: Sequence[Vector], q: int) -> list[Vector]:
     return out
 
 
-def linear_map(m: Matrix, q: int) -> Callable[[Vector], Vector]:
-    """v -> M v, with M packed as in mat_vecs once for every v.
-
-    mat_vecs packs M anew on each call, and a call per vector would cost it
-    about 12% (q = 3, n = 3, eight vectors); this map suits a caller whose
-    v come one at a time.  The v must have M's column count and entries in
-    [0, q); unlike mat_vecs, the map does not check their lengths.
-    """
-    if q == 2:
-        rows = _pack_rows(m)
-        weights = [1 << j for j in range(len(m[0]))]
-
-        def apply_f2(v: Vector) -> Vector:
-            x = sum(map(mul, v, weights))
-            return tuple([(row & x).bit_count() & 1 for row in rows])
-
-        return apply_f2
-    cols, shifts, mask = _pack_lanes(m, q)
-
-    def apply(v: Vector) -> Vector:
-        acc = 0
-        for col, x in zip(cols, v):
-            if x:
-                acc += col * x
-        return tuple([(acc >> s & mask) % q for s in shifts])
-
-    return apply
-
-
 def mat_vec(m: Matrix, v: Vector, q: int) -> Vector:
     return mat_vecs(m, (v,), q)[0]
 
 
 def mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
     return tuple(zip(*mat_vecs(a, tuple(zip(*b)), q)))
-
-
-def _pack_lanes(m: Matrix, q: int) -> tuple[list[int], range, int]:
-    """M's columns as ints of carry-free lanes (module docstring), the lane
-    shifts and the lane mask; q > 2."""
-    width = (len(m[0]) * (q - 1) ** 2).bit_length()
-    shifts = range(0, width * len(m), width)
-    return [sum(e << s for e, s in zip(col, shifts)) for col in zip(*m)], shifts, (1 << width) - 1
 
 
 # -- int-packed GF(2) rows: bit j of the int is column j --------------------
@@ -236,22 +197,27 @@ def rank(m: Matrix, q: int) -> int:
     return len(echelon)
 
 
-@lru_cache(maxsize=1 << 12)
 def is_invertible(m: Matrix, q: int) -> bool:
-    """Whether m is square of full rank over F_q, memoised per (m, q).
+    return len(m) == len(m[0]) and rank(m, q) == len(m)
 
-    The reductions ask it for the same few small matrices thousands of
-    times.  4096 entries hold every 2 x 2 matrix over F_q for q <= 7 and
-    every 3 x 3 one over F_2.  An entry outside [0, q) raises ValueError
-    (from rank), and nothing is cached for it.
+
+@lru_cache(maxsize=1 << 12)
+def is_invertible_cached(m: Matrix, q: int) -> bool:
+    """Whether the square matrix m, a tuple of row tuples, is invertible
+    over F_q, memoised per (m, q); the 0 x 0 matrix is.
+
+    The reductions test the same few small matrices thousands of times.
+    The 4096 entries hold every 2 x 2 matrix over F_q for q <= 7 and every
+    3 x 3 one over F_2.  An entry outside [0, q) raises ValueError (from
+    rank), and nothing is cached for it.
     """
-    return all(len(row) == len(m) for row in m) and rank(m, q) == len(m)
+    return rank(m, q) == len(m)
 
 
 def mat_inverse(m: Matrix, q: int) -> Matrix:
     """The X with X (column j of M) = e_j; raises SingularMatrixError when rank < n."""
     n = len(m)
-    if set(map(len, m)) - {n}:
+    if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
     try:
         return solve_linear(transpose(m), identity(n), q)
@@ -285,10 +251,10 @@ def _constraint_rows(vs: Sequence[Vector], ws: Sequence[Vector], q: int) -> tupl
     if len(vs) != len(ws):
         raise ValueError("need equally many constraint and target vectors")
     n = len(vs[0])
-    if set(map(len, vs)) | set(map(len, ws)) != {n}:
+    if any(len(x) != n for x in chain(vs, ws)):
         raise ValueError("constraint and target vectors differ in length")
     rows = Echelon(q, n, n)
-    return rows, rows.pack_all(chain.from_iterable(chain.from_iterable(zip(vs, ws))))
+    return rows, [rows.pack((*v, *w)) for v, w in zip(vs, ws)]
 
 
 def _solution(rows: Echelon) -> Matrix:
@@ -297,16 +263,14 @@ def _solution(rows: Echelon) -> Matrix:
     A pivot is zero at the columns of the pivots pushed before it, and n
     pivots fill every head column, so pushing them in reverse order onto a
     fresh Echelon reduces each by the later ones to (e_c | X e_c), c its
-    own column: the tails are the columns of X.  Laid end to end in column
-    order, those rows put X[i][c] at coordinate 2 n c + n + i.
+    own column: the tails are the columns of X.
     """
     n = rows.n
     clean = Echelon(rows.q, n, n)
     for row in reversed(rows.rows()):
         clean.push(row)
-    by_column = dict(zip(clean.columns(), clean.rows()))
-    flat = rows.unpack_all([by_column[c] for c in range(n)])
-    return tuple([flat[n + i :: 2 * n] for i in range(n)])
+    cols = dict(zip(clean.columns(), map(rows.unpack, clean.rows())))
+    return tuple(zip(*[cols[j][n:] for j in range(n)]))
 
 
 # -- incremental echelon -----------------------------------------------------
@@ -342,19 +306,9 @@ class Echelon:
         except KeyError as e:
             raise ValueError(f"entry {e.args[0]!r} out of range for q = {self.q}") from None
 
-    def pack_all(self, coords: Iterable[int]) -> list:
-        """The packed rows whose n + extra coordinates coords lists, row after row."""
-        flat = self.pack(tuple(coords))
-        w = len(self.zero)
-        return [flat[i : i + w] for i in range(0, len(flat), w)]
-
     def unpack(self, row) -> Vector:
         """The vector that pack(vector) == row."""
         return row
-
-    def unpack_all(self, rows: list) -> Vector:
-        """The coordinates of the rows, row after row: pack_all undone."""
-        return tuple(chain.from_iterable(rows))
 
     def reduce(self, row):
         """row minus the multiples of the pivots that clear their columns."""
@@ -414,9 +368,6 @@ class Echelon:
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # the ASCII digits "0" and "1" to the bytes 0 and 1
-# the bytes 0 and 1 to the ASCII digits "0" and "1", every other byte to "x",
-# which int(..., 2) rejects
-_DIGIT_CHARS = bytes(48 + b if b < 2 else 120 for b in range(256))
 
 
 class _PackedEchelon(Echelon):
@@ -438,25 +389,8 @@ class _PackedEchelon(Echelon):
             x = x << 1 | e
         return x
 
-    def pack_all(self, coords: Iterable[int]) -> list[int]:
-        # all the rows read as one binary numeral, then cut into rows
-        flat = tuple(coords)
-        try:
-            x = int(bytes(flat).translate(_DIGIT_CHARS) or b"0", 2)
-        except (TypeError, ValueError):
-            x = self.pack(flat)  # raises for the first entry out of range
-        w = self.width
-        mask = (1 << w) - 1
-        return [x >> s & mask for s in range(len(flat) - w, -1, -w)]
-
     def unpack(self, row: int) -> Vector:
         return tuple(format(row, f"0{self.width}b").encode().translate(_BITS))
-
-    def unpack_all(self, rows: list[int]) -> Vector:
-        x = 1  # a leading 1, so the numeral keeps the rows' leading zeros
-        for row in rows:
-            x = x << self.width | row
-        return tuple(bin(x)[3:].encode().translate(_BITS))
 
     def reduce(self, row: int) -> int:
         for p, top in self.pivots:
@@ -465,9 +399,7 @@ class _PackedEchelon(Echelon):
         return row
 
     def push(self, row: int) -> bool:
-        for p, top in self.pivots:  # reduce, inlined on this hot path
-            if row & top:
-                row ^= p
+        row = self.reduce(row)
         if row < self.bound:
             return False
         self.pivots.append((row, 1 << (row.bit_length() - 1)))
@@ -529,7 +461,7 @@ def solve_linear_invertible(vs: Sequence[Vector], ws: Sequence[Vector], q: int) 
 
 
 def random_vector(n: int, q: int, rng: Random) -> Vector:
-    return tuple([rng.randrange(q) for _ in range(n)])
+    return tuple(rng.randrange(q) for _ in range(n))
 
 
 def random_matrix(n: int, q: int, rng: Random) -> Matrix:
@@ -563,11 +495,10 @@ def complete_basis(vectors: Sequence[Vector], n: int, q: int) -> Matrix:
 
 
 @lru_cache(maxsize=1024)
-def _basis_maps(u: Vector, q: int) -> tuple[Callable[[Vector], Vector], Callable[[Vector], Vector]]:
-    """v -> P v and r -> r P^-1 (as a row), each packed once, for the basis
-    P = complete_basis([u]), whose first column is u."""
+def _basis_with_inverse_transpose(u: Vector, q: int) -> tuple[Matrix, Matrix]:
+    """complete_basis([u]) (its first column is u) and the transpose of its inverse."""
     p = complete_basis([u], len(u), q)
-    return linear_map(p, q), linear_map(transpose(mat_inverse(p, q)), q)
+    return p, transpose(mat_inverse(p, q))
 
 
 def random_invertible_mapping(u: Vector, w: Vector, q: int, rng: Random) -> Matrix:
@@ -576,25 +507,26 @@ def random_invertible_mapping(u: Vector, w: Vector, q: int, rng: Random) -> Matr
     With P_u, P_w bases whose first columns are u and w, A = P_w T P_u^-1
     for a uniform invertible T with first column e_1: that is the fixed map
     P_w P_u^-1 composed with the uniform stabilizer element P_u T P_u^-1 of
-    u, so A is uniform on the coset.  The maps v -> P v and r -> r P^-1 are
-    cached per (u, q) (1024 entries), so A costs 2n - 1 matrix-vector
-    products and no packing; each drawn T is tested through the lower-right
-    block that decides its invertibility, a lookup in is_invertible's memo.
+    u, so A is uniform on the coset.  P and (P^-1)^T are cached per (u, q)
+    (1024 entries), and A costs two mat_vecs calls: one for the columns of
+    P_w T, one for the rows of A.  Each drawn T is tested through the block
+    that decides its invertibility, a lookup in is_invertible_cached.
     """
     if is_zero_vector(u) or is_zero_vector(w):
         raise ValueError("u and w must be nonzero")
     n = len(u)
-    _, times_p_u_inv = _basis_maps(tuple(u), q)
-    p_w_times, _ = _basis_maps(tuple(w), q)
+    _, p_u_inv_t = _basis_with_inverse_transpose(tuple(u), q)
+    p_w, _ = _basis_with_inverse_transpose(tuple(w), q)
     while True:
         drawn = [random_vector(n, q, rng) for _ in range(n - 1)]  # columns 2..n of T
         # T's first column is e_1, so T is invertible exactly when its
         # lower-right (n-1) x (n-1) block is; the col[1:] are that block's
         # columns, and a matrix is invertible with its transpose
-        if is_invertible(tuple(col[1:] for col in drawn), q):
+        if is_invertible_cached(tuple(col[1:] for col in drawn), q):
             break
-    # the columns of P_w T are P_w e_1 = w and the P_w d; zipped, its rows
-    return tuple(map(times_p_u_inv, zip(w, *map(p_w_times, drawn))))
+    # P_w T has columns P_w e_1 = w and the P_w d, so its rows are those
+    # columns zipped; row i of A is (P_u^-1)^T (row i of P_w T)
+    return tuple(mat_vecs(p_u_inv_t, list(zip(w, *mat_vecs(p_w, drawn, q))), q))
 
 
 def enumerate_vectors(n: int, q: int) -> Iterator[Vector]:

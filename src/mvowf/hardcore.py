@@ -28,7 +28,7 @@ from .field import (
     identity,
     inner_product,
     invertibility_probability,
-    is_invertible,
+    is_invertible_cached,
     mat_inverse,
     mat_mul,
     mat_vec,
@@ -38,7 +38,7 @@ from .field import (
     random_vector,
     transpose,
 )
-from .owf import BudgetExceededError, OwfImage, OwfKey, RowImages, evaluate, iter_matchings
+from .owf import BudgetExceededError, OwfImage, OwfKey, evaluate, iter_matchings, row_image_table
 from .permstats import projection_family_size, sample_projection_family
 
 
@@ -77,12 +77,9 @@ class Predictor:
 
     def query(self, context):
         self.query_count += 1
-        try:
-            return self._memo[context]  # one hash of the context on a hit
-        except KeyError:
-            pass
-        answer = self._memo[context] = self._answer(context)
-        return answer
+        if context not in self._memo:
+            self._memo[context] = self._answer(context)
+        return self._memo[context]
 
 
 def make_noisy_predictor(
@@ -367,8 +364,8 @@ def trace_invert(
     oracle only with constant probability (at n = 2 most of the domain is
     singular), so up to `rounds` fresh extensions are tried.  Each distinct
     point is answered once: only its first query builds N, looks up whether
-    it is invertible (field.is_invertible, memoised) and, if it is, asks the
-    predictor on N * image, read off one RowImages table of the image built
+    it is invertible (field.is_invertible_cached) and, if it is, asks the
+    predictor on N * image, read off one row_image_table of the image built
     per call; that answer then serves every later round too, so the
     predictor sees at most |GL_n(F_q)| queries.
     When q^(n^2) <= 2^12 (n <= 3 at q = 2, n = 2 at q <= 7) each round
@@ -387,7 +384,7 @@ def trace_invert(
     effective = invertibility_probability(n, q) * epsilon
 
     # N*image is read off a table of the image's q^n possible row images
-    row_images = RowImages(image.vectors, q).__getitem__
+    row_images = row_image_table(image.vectors, q).__getitem__
     # query point -> (answer, whether N is invertible)
     answered: dict[Vector, tuple[int, bool]] = {}
     for _ in range(rounds):
@@ -400,7 +397,7 @@ def trace_invert(
             hit = answered.get(x)
             if hit is None:
                 mat_n = tuple([x[i::n] for i in range(n)])  # vec(N^T) = x
-                if is_invertible(mat_n, q):
+                if is_invertible_cached(mat_n, q):
                     ctx = BilinearContext(
                         image=tuple(sorted(zip(*map(row_images, mat_n)))),
                         basis=key.vectors,
@@ -451,7 +448,7 @@ def bilinear_invert(
     search at assignment_budget.  When q^n <= 2^12 each decode is exact,
     every y queried once (see _decode).  Each new (x, y) costs two
     random_invertible_mapping draws, and A * image and B * key are read off
-    two RowImages tables (image and key) built per call.
+    two row-image tables (row_image_table; image and key) built per call.
     """
     n, q = key.n, key.q
     if not any(a) or not any(b):
@@ -462,8 +459,8 @@ def bilinear_invert(
     stats.update(t_queries=0, assignments_tried=0, budget_exhausted=False)
     t_memo: dict[tuple[Vector, Vector], int] = {}
     # A*image and B*key are read off tables of their q^n possible row images
-    image_rows = RowImages(image.vectors, q).__getitem__
-    key_rows = RowImages(key.vectors, q).__getitem__
+    image_rows = row_image_table(image.vectors, q).__getitem__
+    key_rows = row_image_table(key.vectors, q).__getitem__
 
     def t_oracle(x: Vector, y: Vector) -> int:
         if not any(y) or not any(x):

@@ -24,7 +24,6 @@ from .field import (
     enumerate_invertible,
     enumerate_vectors,
     identity,
-    linear_map,
     mat_inverse,
     mat_mul,
     mat_vecs,
@@ -139,36 +138,16 @@ def transform_image(a: Matrix, image: OwfImage, q: int) -> OwfImage:
     return OwfImage(tuple(sorted(mat_vecs(a, image.vectors, q))))
 
 
-class RowImages(dict):
-    """Row r -> (<r, w> for w in vectors), each row multiplied out once.
+def row_image_table(vectors: Sequence[Vector], q: int) -> dict[Vector, Vector]:
+    """Every row r of F_q^n -> (<r, w> for w in vectors), from one mat_vecs.
 
-    Coordinate i of A w is <row i of A, w>, so for a matrix A over F_q the
-    table's rows for A, zipped, are the A w in the order of the vectors:
-    tuple(zip(*map(table.__getitem__, A))) is A*W in that order, and sorted
-    it is transform_image(A, W, q).vectors.  A row is filled on its first
-    lookup, range- and length-checked first (a bad one raises ValueError
-    and is not stored), from the vectors packed once (field.linear_map).
-    With all_rows=True every row of F_q^n is filled at once, in one
-    mat_vecs.  The table holds at most q^n rows.
+    Coordinate i of A w is <row i of A, w>, so for an A over F_q with n
+    columns tuple(zip(*map(table.__getitem__, A))) is the A w in the order
+    of the vectors, and sorted it is transform_image(A, W, q).vectors.  The
+    table holds q^n rows; a row outside F_q^n is not among its keys.
     """
-
-    def __init__(self, vectors: Sequence[Vector], q: int, all_rows: bool = False) -> None:
-        super().__init__()
-        self._vectors = vectors
-        self._q = q
-        self._apply: Callable[[Vector], Vector] | None = None  # packed on the first miss
-        if all_rows:
-            rows = list(enumerate_vectors(len(vectors[0]), q))
-            self.update(zip(rows, zip(*mat_vecs(rows, vectors, q))))
-
-    def __missing__(self, row: Vector) -> Vector:
-        if len(row) != len(self._vectors[0]):
-            raise ValueError("dimension mismatch")
-        check_entries((row,), self._q, "matrix")
-        if self._apply is None:
-            self._apply = linear_map(self._vectors, self._q)
-        images = self[row] = self._apply(row)
-        return images
+    rows = list(enumerate_vectors(len(vectors[0]), q))
+    return dict(zip(rows, zip(*mat_vecs(rows, vectors, q))))
 
 
 # -- multiset matching search ------------------------------------------------
@@ -384,12 +363,11 @@ def invert_exhaustive(key: OwfKey, image: OwfImage) -> Matrix | None:
     """Scan all of GL_n(F_q) for a preimage; None when the scan exhausts.
 
     Returns the first M in `enumerate_invertible` order with M*V = image.
-    Each M v is read off one RowImages table of the key, filled with all
-    q^n possible rows at once.
+    Each M*V is read off one row_image_table of the key.
     """
     # enumerate_invertible yields only in-range invertible matrices, so
     # evaluate's shape, range and rank checks would be repeated work
-    table = RowImages(key.vectors, key.q, all_rows=True)
+    table = row_image_table(key.vectors, key.q)
     target = list(image.vectors)
     for m in enumerate_invertible(key.n, key.q):
         if sorted(zip(*map(table.__getitem__, m))) == target:

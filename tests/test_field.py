@@ -1,6 +1,5 @@
 """Field arithmetic and dense linear algebra over F_q."""
 
-import itertools
 import time
 from collections import Counter
 from itertools import product
@@ -38,6 +37,7 @@ from mvowf.field import (
     invertibility_probability,
     invertibility_probability_limit,
     is_invertible,
+    is_invertible_cached,
     mat_inverse,
     mat_mul,
     mat_vec,
@@ -454,47 +454,37 @@ def test_echelon_rank_and_undo(q, n, k, data):
             echelon.pop()
 
 
-@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(0, 3), st.integers(0, 5), st.data())
-@settings(max_examples=150)
-def test_echelon_pack_all_matches_pack(q, n, extra, k, data):
-    """pack_all packs a whole system as pack does row by row; unpack_all undoes it."""
-    rows = data.draw(st.lists(vectors(q, n + extra), min_size=k, max_size=k))
-    echelon = Echelon(q, n, extra)
-    packed = echelon.pack_all(itertools.chain.from_iterable(rows))
-    assert packed == [echelon.pack(row) for row in rows]
-    assert echelon.unpack_all(packed) == tuple(itertools.chain.from_iterable(rows))
-
-
-@pytest.mark.parametrize("q, bad", [(2, 2), (2, -1), (2, 300), (3, 3), (5, -1)])
-def test_echelon_pack_all_rejects_out_of_range(q, bad):
-    with pytest.raises(ValueError, match=f"entry {bad} out of range"):
-        Echelon(q, 2, 2).pack_all((1, 0, 0, 1, 0, bad, 1, 0))
-
-
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.data())
 @settings(max_examples=200)
-def test_is_invertible_lookup_matches_rank(q, n, data):
+def test_is_invertible_cached_matches_rank(q, n, data):
     m = data.draw(matrices(q, n, n))
     for _ in range(2):  # the second answer comes from the memo
-        assert is_invertible(m, q) == (reference_rank(m, q) == n)
+        assert is_invertible_cached(m, q) == (reference_rank(m, q) == n) == is_invertible(m, q)
 
 
-def test_is_invertible_memo_keyed_by_modulus():
+def test_is_invertible_cached_keyed_by_modulus():
     m = ((1, 1, 0), (0, 1, 1), (1, 0, 1))  # determinant 2
-    assert not is_invertible(m, 2)
-    assert is_invertible(m, 3)
-    assert not is_invertible(m, 2)
+    assert not is_invertible_cached(m, 2)
+    assert is_invertible_cached(m, 3)
+    assert not is_invertible_cached(m, 2)
     assert rank(m, 2) == 2 and rank(m, 3) == 3
 
 
-def test_is_invertible_bad_entry_not_cached():
+def test_is_invertible_cached_bad_entry_not_cached():
     bad = ((1, 2), (0, 1))
-    size = is_invertible.cache_info().currsize
+    size = is_invertible_cached.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ValueError, match="out of range"):
-            is_invertible(bad, 2)
-    assert is_invertible.cache_info().currsize == size
-    assert is_invertible(bad, 3)
+            is_invertible_cached(bad, 2)
+    assert is_invertible_cached.cache_info().currsize == size
+    assert is_invertible_cached(bad, 3)
+
+
+def test_is_invertible_takes_lists():
+    """The uncached test reads any sequence of rows, lists included."""
+    assert is_invertible([[1, 1], [0, 1]], 2)
+    assert not is_invertible([[1, 1], [1, 1]], 2)
+    assert not is_invertible([[1, 0, 0], [0, 1, 0]], 3)
 
 
 @pytest.mark.parametrize("q", [2, 3])
