@@ -2,9 +2,11 @@
 and experiments, with seeded reproducibility and canonical file output.
 
 Exit codes: 0 success, 1 computed negative answer (not isomorphic, not in
-image, reduction failed, promise violated), 2 usage or input error, 3 search
-budget exceeded, 4 internal error (any other exception, reported on stderr
-as "internal error: ..."), so exit 1 always means a computed answer.
+image, reduction failed, promise violated), 2 usage or input error (a bad
+argument or modulus, a malformed, missing or unreadable file, a directory
+given as a file), 3 search budget exceeded, 4 internal error (any other
+exception, reported on stderr as "internal error: ..."), so exit 1 always
+means a computed answer.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from .field import SingularMatrixError, random_invertible
+from .field import random_invertible
 from .formats import (
-    FormatError,
     dump_instance,
     matrix_to_text,
     parse_graph,
@@ -104,12 +105,7 @@ def cmd_keygen(args) -> int:
 def cmd_eval(args) -> int:
     key, _ = parse_instance(Path(args.key).read_text())
     matrix = parse_matrix(Path(args.matrix).read_text(), key.q)
-    try:
-        image = evaluate(key, matrix)
-    except (SingularMatrixError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit(dump_instance(key, image), args.out)
+    _emit(dump_instance(key, evaluate(key, matrix)), args.out)
     return EXIT_OK
 
 
@@ -357,7 +353,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (FormatError, FileNotFoundError, ValueError) as e:
+    except (OSError, ValueError) as e:  # FormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 from operator import mul
 from random import Random
 from typing import Iterator, Sequence
@@ -117,10 +117,6 @@ def inner_product(a: Vector, b: Vector, q: int) -> int:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return sum(x * y for x, y in zip(a, b)) % q
-
-
-def is_zero_vector(a: Vector) -> bool:
-    return not any(a)
 
 
 @lru_cache(maxsize=None)
@@ -491,7 +487,7 @@ def complete_basis(vectors: Sequence[Vector], n: int, q: int) -> Matrix:
             break
         if echelon.push(echelon.pack(e)):
             basis.append(e)
-    return tuple(tuple(basis[j][i] for j in range(len(basis))) for i in range(n))
+    return transpose(basis)
 
 
 @lru_cache(maxsize=1024)
@@ -512,7 +508,7 @@ def random_invertible_mapping(u: Vector, w: Vector, q: int, rng: Random) -> Matr
     P_w T, one for the rows of A.  Each drawn T is tested through the block
     that decides its invertibility, a lookup in is_invertible_cached.
     """
-    if is_zero_vector(u) or is_zero_vector(w):
+    if not any(u) or not any(w):
         raise ValueError("u and w must be nonzero")
     n = len(u)
     _, p_u_inv_t = _basis_with_inverse_transpose(tuple(u), q)
@@ -531,16 +527,7 @@ def random_invertible_mapping(u: Vector, w: Vector, q: int, rng: Random) -> Matr
 
 def enumerate_vectors(n: int, q: int) -> Iterator[Vector]:
     """All q^n vectors in lexicographic order."""
-    v = [0] * n
-    while True:
-        yield tuple(v)
-        i = n - 1
-        while i >= 0 and v[i] == q - 1:
-            v[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        v[i] += 1
+    return product(range(q), repeat=n)
 
 
 def enumerate_invertible(n: int, q: int) -> Iterator[Matrix]:
@@ -601,7 +588,4 @@ def invertibility_probability_limit(q: int) -> float:
     is at most half an ulp below 1.0, so 1.0 - q^-j rounds to exactly 1.0
     and every factor past j = 53 leaves the product as it is.
     """
-    out = 1.0
-    for j in range(1, 200):
-        out *= 1.0 - float(q) ** -j
-    return out
+    return invertibility_probability(199, q)

@@ -38,6 +38,11 @@ def _parse_vector(text: str, n: int, q: int, where: str) -> Vector:
     return tuple(out)
 
 
+def _content_lines(text: str) -> list[str]:
+    """The lines that are neither blank nor comments (first non-space character #)."""
+    return [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+
+
 def vector_to_text(v: Vector) -> str:
     return " ".join(str(e) for e in v)
 
@@ -48,7 +53,7 @@ def matrix_to_text(m: Matrix) -> str:
 
 def parse_matrix(text: str, q: int) -> Matrix:
     rows = []
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = _content_lines(text)
     if not lines:
         raise FormatError("matrix file is empty")
     width = len(lines[0].split())
@@ -120,7 +125,7 @@ def dump_graph(g: SimpleGraph) -> str:
 
 
 def parse_graph(text: str) -> SimpleGraph:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = _content_lines(text)
     if not lines:
         raise FormatError("graph file is empty")
     header = lines[0].split()

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .field import Matrix, Vector, mat_vecs
+from .field import Matrix, Vector, identity, mat_vecs, transpose, validate_modulus
 from .owf import iter_matchings
 
 GREEN = "green"
@@ -64,14 +64,10 @@ class SimpleGraph:
         return sorted(out)
 
 
-def _basis(n: int, i: int) -> Vector:
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
 def encode_graph(g: SimpleGraph, q: int) -> tuple[Vector, ...]:
     """Vertex basis vectors in index order, then u+v vectors in edge order."""
     n = g.n_vertices
-    vectors = [_basis(n, i) for i in range(n)]
+    vectors = list(identity(n))
     for u, v in sorted(g.edges):
         vectors.append(tuple((1 if j in (u, v) else 0) for j in range(n)))
     return tuple(vectors)
@@ -80,7 +76,11 @@ def encode_graph(g: SimpleGraph, q: int) -> tuple[Vector, ...]:
 def reduce_pair(
     g1: SimpleGraph, g2: SimpleGraph, q: int
 ) -> tuple[tuple[Vector, ...], tuple[Vector, ...]] | None:
-    """Encode both graphs; None when the sizes already rule out isomorphism."""
+    """Encode both graphs; None when the sizes already rule out isomorphism.
+
+    Raises ValueError unless q is a prime below 256.
+    """
+    validate_modulus(q)
     if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
         return None
     return encode_graph(g1, q), tuple(sorted(encode_graph(g2, q)))
@@ -100,10 +100,6 @@ def classify_vertices(m: Matrix, g1: SimpleGraph, q: int) -> dict[int, str]:
                 f"vertex {u} maps to a vector of weight {weight}, expected 1 or 2"
             )
     return colors
-
-
-def _column(m: Matrix, j: int) -> Vector:
-    return tuple(row[j] for row in m)
 
 
 def _basis_index(v: Vector) -> int:
@@ -140,14 +136,15 @@ def extract_isomorphism(
 
     n = g1.n_vertices
     pi = [None] * n
+    columns = transpose(m)
     if q >= 3:
         for u in range(n):
-            pi[u] = _basis_index(_column(m, u))
+            pi[u] = _basis_index(columns[u])
     else:
         colors = classify_vertices(m, g1, q)
         for u in range(n):
             if colors[u] == GREEN:
-                pi[u] = _basis_index(_column(m, u))
+                pi[u] = _basis_index(columns[u])
             else:
                 green_nbrs = [v for v in g1.neighbors(u) if colors[v] == GREEN]
                 if len(green_nbrs) != 1:
@@ -155,7 +152,7 @@ def extract_isomorphism(
                         f"red vertex {u} has {len(green_nbrs)} green neighbors, expected 1"
                     )
                 v = green_nbrs[0]
-                image = tuple((a + b) % 2 for a, b in zip(_column(m, u), _column(m, v)))
+                image = tuple((a + b) % 2 for a, b in zip(columns[u], columns[v]))
                 pi[u] = _basis_index(image)
     pi = tuple(pi)
     if not is_isomorphism(pi, g1, g2):

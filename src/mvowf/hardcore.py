@@ -350,7 +350,6 @@ def trace_invert(
     predictor: Predictor,
     epsilon: float,
     rng: Random,
-    confidence: float = 0.95,
     rounds: int = 4,
     stats: dict | None = None,
 ) -> Matrix | None:
@@ -410,7 +409,7 @@ def trace_invert(
             stats["invertible_queries" if hit[1] else "singular_queries"] += 1
             return hit[0]
 
-        candidates = _decode(oracle, k, q, effective, 400, rng, confidence)
+        candidates = _decode(oracle, k, q, effective, 400, rng, 0.95)
         stats["candidates"] += len(candidates)
 
         for h in candidates:
@@ -431,7 +430,6 @@ def bilinear_invert(
     b: Vector,
     epsilon: float,
     rng: Random,
-    confidence: float = 0.9,
     assignment_budget: int = 10**6,
     stats: dict | None = None,
 ) -> Matrix | None:
@@ -485,7 +483,7 @@ def bilinear_invert(
     row_lists: list[list[Vector]] = []
     for g in family:
         oracle = functools.partial(t_oracle, g)
-        rows = _decode(oracle, n, q, epsilon, 200, rng, confidence)
+        rows = _decode(oracle, n, q, epsilon, 200, rng, 0.9)
         if not rows:
             stats.update(family=family, empty_decode=True)
             return None

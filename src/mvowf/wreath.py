@@ -66,12 +66,12 @@ def embed_gl2n(x: WreathElement) -> Matrix:
     n = len(x.g1)
     zero = (0,) * n
     if x.swap == 0:
-        top = [x.g1[i] + zero for i in range(n)]
-        bottom = [zero + x.g2[i] for i in range(n)]
+        top = [row + zero for row in x.g1]
+        bottom = [zero + row for row in x.g2]
     else:
-        top = [zero + x.g1[i] for i in range(n)]
-        bottom = [x.g2[i] + zero for i in range(n)]
-    return tuple(tuple(row) for row in top + bottom)
+        top = [zero + row for row in x.g1]
+        bottom = [row + zero for row in x.g2]
+    return tuple(top + bottom)
 
 
 def enumerate_wreath(n: int, q: int) -> Iterator[WreathElement]:

@@ -49,6 +49,7 @@ def test_eval_rejects_singular_matrix(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 1\n1 1\n")
     assert run(["eval", str(key_file), str(bad)]) == 2
+    assert capsys.readouterr() == ("", "error: evaluation domain is GL_n; matrix is singular\n")
 
 
 def test_eval_rejects_non_string_key_vectors(tmp_path, capsys):
@@ -98,6 +99,39 @@ def test_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["keygen", "--q", "2", "--n", "4"])  # --seed is required
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["invert", "eval-key", "eval-matrix", "gi-solve"])
+def test_directory_argument_is_usage_error(command, tmp_path, capsys):
+    key_file, matrix_file, graph_file = tmp_path / "k.json", tmp_path / "m.txt", tmp_path / "g.txt"
+    run(["keygen", "--q", "2", "--n", "3", "--seed", "1", "--out", str(key_file)])
+    matrix_file.write_text(matrix_to_text(identity(3)))
+    graph_file.write_text(dump_graph(SimpleGraph.from_edges(3, [(0, 1)])))
+    args = {
+        "invert": ["invert", str(tmp_path)],
+        "eval-key": ["eval", str(tmp_path), str(matrix_file)],
+        "eval-matrix": ["eval", str(key_file), str(tmp_path)],
+        "gi-solve": ["gi-solve", str(graph_file), str(tmp_path), "--q", "2"],
+    }[command]
+    assert run(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Is a directory" in err
+
+
+def test_directory_out_is_usage_error(tmp_path, capsys):
+    """Every subcommand writes through one --out path."""
+    assert run(["keygen", "--q", "2", "--n", "3", "--seed", "1", "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Is a directory" in err
+
+
+@pytest.mark.parametrize("q", ["1", "4", "6", "257"])
+def test_gi_solve_rejects_bad_modulus(q, tmp_path, capsys):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(dump_graph(SimpleGraph.from_edges(3, [(0, 1)])))
+    assert run(["gi-solve", str(graph_file), str(graph_file), "--q", q]) == 2
+    reason = "too large (need q < 256)" if q == "257" else "is not prime"
+    assert capsys.readouterr() == ("", f"error: modulus {q} {reason}\n")
 
 
 def test_gi_solve_fixture(tmp_path, capsys):

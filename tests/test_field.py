@@ -375,10 +375,22 @@ def test_rank_bounds_property(seed, q):
     assert (r == 3) == is_invertible(m, q)
 
 
+def _base_q_digits(i, n, q):
+    """The n base-q digits of i, most significant first."""
+    digits = []
+    for _ in range(n):
+        i, d = divmod(i, q)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
 def test_enumerate_vectors_lexicographic():
-    vs = list(enumerate_vectors(2, 3))
-    assert vs == sorted(vs)
-    assert len(vs) == 9
+    """F_q^n in lexicographic order is the count 0 .. q^n - 1 in base q;
+    n = 0 gives the one empty vector."""
+    for q in (2, 3, 5):
+        for n in range(6):
+            expected = [_base_q_digits(i, n, q) for i in range(q**n)]
+            assert list(enumerate_vectors(n, q)) == expected, (n, q)
 
 
 # -- the batched kernel against the per-vector reference ---------------------

@@ -66,6 +66,16 @@ def test_reduce_pair():
     assert reduce_pair(PATH3, PATH4, 2) is None
 
 
+@pytest.mark.parametrize("q", [1, 4, 6, 257])
+def test_graph_search_rejects_bad_modulus(q):
+    for call in (reduce_pair, decide_isomorphic, lambda g1, g2, q: list(iter_witnesses(g1, g2, q))):
+        with pytest.raises(ValueError, match=f"modulus {q} "):
+            call(PATH3, PATH3, q)
+    # before the sizes are compared
+    with pytest.raises(ValueError, match=f"modulus {q} "):
+        reduce_pair(PATH3, TRIANGLE, q)
+
+
 def test_triangle_witness_recovery():
     """The mixed green/red witness recovers the transposition (0 1)."""
     colors = classify_vertices(TRIANGLE_WITNESS, TRIANGLE, 2)

@@ -2,6 +2,7 @@
 
 import time
 from collections import Counter
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -64,6 +65,26 @@ def test_default_delta():
     assert keygen(2, 16, seed=1).m == 96
     assert keygen(3, 16, delta=4, seed=1).m == 20
     assert default_delta(2, 2) == 5
+
+
+def test_output_to_input_ratio_tends_to_one():
+    """The abstract's claim that f_V has fewer than (1 + eps) times as many
+    output as input bits: m / n = 1 + default_delta(q, n) / n, exactly.
+
+    The claim is asymptotic: the ratio falls strictly over n = 10^2 .. 10^7
+    and is below 1.01 at n = 10^6, but at desk sizes it is not monotone
+    (6.0 at n = 4, 6.625 at n = 8, q = 2).
+    """
+
+    def ratio(q, n):
+        return Fraction(n + default_delta(q, n), n)
+
+    for q in (2, 3, 5):
+        ratios = [ratio(q, 10**e) for e in range(2, 8)]
+        assert all(a > b for a, b in zip(ratios, ratios[1:])), q
+        assert ratio(q, 10**6) < Fraction(101, 100)
+    assert [round(float(ratio(q, 10**6)), 4) for q in (2, 3, 5)] == [1.002, 1.0008, 1.0004]
+    assert (ratio(2, 4), ratio(2, 8)) == (6, Fraction(53, 8))
 
 
 def test_keygen_deterministic():
