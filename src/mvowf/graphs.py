@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .field import Matrix, Vector, identity, mat_vecs, transpose, validate_modulus
-from .owf import iter_matchings
+from .owf import _refined_colours, iter_matchings
 
 GREEN = "green"
 RED = "red"
@@ -130,6 +130,17 @@ def extract_isomorphism(
     pair = reduce_pair(g1, g2, q)
     if pair is None:
         raise InvalidWitnessError("graphs differ in vertex or edge count")
+    return _extract(m, g1, g2, q, pair)
+
+
+def _extract(
+    m: Matrix,
+    g1: SimpleGraph,
+    g2: SimpleGraph,
+    q: int,
+    pair: tuple[tuple[Vector, ...], tuple[Vector, ...]],
+) -> tuple[int, ...]:
+    """extract_isomorphism, given the encoding (V, sorted W) of reduce_pair."""
     v_list, w_sorted = pair
     if tuple(sorted(mat_vecs(m, v_list, q))) != w_sorted:
         raise InvalidWitnessError("matrix does not map V onto W")
@@ -160,6 +171,21 @@ def extract_isomorphism(
     return pi
 
 
+def _witnesses(
+    pair: tuple[tuple[Vector, ...], tuple[Vector, ...]], q: int, n: int, node_budget: int | None
+) -> Iterator[Matrix]:
+    """The matching search over the encoding (V, sorted W), with refined colours."""
+    v_list, w_sorted = pair
+    return iter_matchings(
+        v_list,
+        w_sorted,
+        q,
+        n,
+        node_budget=node_budget,
+        colours=_refined_colours(v_list, w_sorted, q),
+    )
+
+
 def iter_witnesses(
     g1: SimpleGraph, g2: SimpleGraph, q: int, node_budget: int | None = None
 ) -> Iterator[Matrix]:
@@ -167,10 +193,7 @@ def iter_witnesses(
     pair = reduce_pair(g1, g2, q)
     if pair is None:
         return
-    v_list, w_sorted = pair
-    yield from iter_matchings(
-        v_list, w_sorted, q, g1.n_vertices, node_budget=node_budget
-    )
+    yield from _witnesses(pair, q, g1.n_vertices, node_budget)
 
 
 def decide_isomorphic(
@@ -180,10 +203,14 @@ def decide_isomorphic(
 
     Raises BudgetExceededError when the witness search runs out of nodes, and
     InvalidWitnessError when a found witness defies the recovery procedure
-    (impossible for genuine witnesses).
+    (impossible for genuine witnesses).  The witness is read off the same
+    encoding the search ran on.
     """
-    for m in iter_witnesses(g1, g2, q, node_budget=node_budget):
-        return extract_isomorphism(m, g1, g2, q)
+    pair = reduce_pair(g1, g2, q)
+    if pair is None:
+        return None
+    for m in _witnesses(pair, q, g1.n_vertices, node_budget):
+        return _extract(m, g1, g2, q, pair)
     return None
 
 

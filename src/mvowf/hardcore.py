@@ -18,8 +18,6 @@ from operator import mul
 from random import Random
 from typing import Callable
 
-import numpy as np
-
 from .field import (
     Matrix,
     Vector,
@@ -220,6 +218,8 @@ def goldreich_levin_f2(
     re-checked against fresh samples and kept above agreement
     1/2 + epsilon/2, by falling agreement, ties in lexicographic order.
     """
+    import numpy as np  # loaded by the decoders only, see _ranked
+
     if k > 400:
         raise ValueError("decode dimension capped at 400")
     if epsilon <= 0:
@@ -282,6 +282,8 @@ def gl_decode_exhaustive(
     lexicographic order without being listed; they come out by falling
     agreement, ties in lexicographic order.
     """
+    import numpy as np  # loaded by the decoders only, see _ranked
+
     if q**k > enumeration_cap():
         raise ValueError(f"q^k = {q**k} exceeds enumeration cap")
     if q**k <= _EXACT_DOMAIN:
@@ -309,8 +311,13 @@ def _ranked(
     oracle is asked at each point once, in order.  Each block of forms is
     scored by one float32 product whose entries are at most k (q - 1)^2
     < 2^24, so exact.  Forms come out by falling agreement, ties in
-    lexicographic order.
+    lexicographic order.  numpy is imported here and in the two decoders,
+    not with the module: the matching engine and the GL_n scans never use
+    it, and a process that runs only them saves the import (about 14 MB of
+    resident memory and 0.15 s of CPU with numpy 2.4).
     """
+    import numpy as np
+
     answers = np.array([oracle(x) for x in points], dtype=np.int32)
     pts = np.array(points, dtype=np.float32).T  # (k, len(points))
     rows = max(1, _BLOCK_ELEMENTS // max(pts.shape))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 from random import Random
 from typing import Callable, Iterator, Sequence
 
@@ -156,14 +157,20 @@ def row_image_table(vectors: Sequence[Vector], q: int) -> dict[Vector, Vector]:
 # graph-isomorphism search and the bilinear reduction: yield every
 # invertible M with M*src = dst as multisets.  An optional colouring
 # (src_colour, dst_colour) lets v map to w only when src_colour(v) ==
-# dst_colour(w).  Each distinct value is labelled (multiplicity, colour), a
-# matching maps each value to one of the same label, and so the search ends
-# before its first node when src and dst differ in how many values carry
-# each label.  Distinct source values are assigned targets in
-# first-appearance order, candidates in lexicographic order.  Assigning
-# v -> w pushes the row (v | -M v), reduced, onto a field.Echelon whose
-# pivots lie in the v-part; a second Echelon over the images of the pivots
-# rejects an assignment that would make M singular.  Each source value not
+# dst_colour(w).  Inversion, injectivity, the witness enumeration and the
+# graph search pass the colour refinement below (_refined_colours): any M
+# with M*src = dst maps every relation v = a + beta b among the values onto
+# one with the same beta, so M keeps those colours, only branches without a
+# matching go, and the yields and their order stay as they are; node
+# counts fall, so a node_budget now reaches further.  Each distinct value
+# is labelled (multiplicity, colour), a matching maps each value to one of
+# the same label, and so the search ends before its first node when src
+# and dst differ in how many values carry each label.  Distinct source
+# values are assigned targets in first-appearance order, candidates in
+# lexicographic order.  Assigning v -> w pushes the row (v | -M v),
+# reduced, onto a field.Echelon whose pivots lie in the v-part; a second
+# Echelon over the images of the pivots rejects an assignment that would
+# make M singular.  Each source value not
 # yet assigned keeps a residual, (v | 0) reduced against the pivots; a push
 # reduces every residual against the new pivot only.  A residual with a
 # zero v-part is (0 | M v): the value lies in the assigned span and its
@@ -282,6 +289,124 @@ def iter_matchings(
             stats["nodes"] = nodes
 
 
+# -- colour refinement for the engine's callers --------------------------------
+#
+# An M in GL_n maps every linear relation v = a + beta b among the values of
+# src onto one among the values of dst with the same beta, and keeps
+# multiplicities.  So colour each distinct value by its multiplicity, then
+# repeatedly by its old colour and the multiset of (colour a, colour b,
+# beta) over the relations through it, naming the new colours of src and
+# dst from one table per round: the colour of v then equals the colour of
+# M v for every M with M*src = dst (Weisfeiler-Leman refinement, run on the
+# relations among the values instead of the edges of a graph).  Passed as
+# the engine's colours, it removes only branches that hold no matching, and
+# each candidate list stays a lex-ordered subsequence, so the yields and
+# their order are unchanged and only the node count falls.  At q = 2 the
+# relations are the zero-sum triples {a, b, a XOR b} of distinct values,
+# each pair {a, b} unordered.  At q > 2 every ordered pair (a, b) is tried,
+# a with coefficient 1 and b with beta in 1..q-1: listing each pair of
+# values once, in the order the values come, would tie the relations to an
+# order that M does not keep.  A value alone in its class keeps it, so a
+# round only sorts the relations of the values that share one.
+
+
+def _packed_sum(q: int, n: int) -> tuple[list[int], Callable[[int, int], int]]:
+    """(lane weights, add) for vectors packed into lanes of q.bit_length() + 1 bits.
+
+    add(x, y) is the lane-wise (x + y) mod q of two ints whose lane sums lie
+    in [0, 2q - 2], such as two packed vectors: adding 2^(w-1) - q to every
+    lane sets the lane's top bit exactly where its sum reaches q, and no
+    lane carries into the next, so the sum costs a few int operations
+    whatever n is.
+    """
+    w = q.bit_length() + 1
+    weights = [1 << (w * t) for t in range(n)]
+    ones = sum(weights)
+    bias = ((1 << (w - 1)) - q) * ones
+    tops = ones << (w - 1)
+
+    def add(x: int, y: int) -> int:
+        s = x + y
+        return s - (((s + bias) & tops) >> (w - 1)) * q
+
+    return weights, add
+
+
+def _relations(values: Sequence[Vector], q: int) -> list[list[tuple[int, int, int]]]:
+    """For each value v_i, the (j, l, beta) with v_i = v_j + beta v_l (see above)."""
+    out: list[list[tuple[int, int, int]]] = [[] for _ in values]
+    if q == 2:
+        codes = [int.from_bytes(bytes(v), "big") for v in values]  # XOR is the sum
+        index = dict(zip(codes, range(len(codes)))).get
+        for j, a in enumerate(codes):
+            for l in range(j + 1, len(codes)):
+                i = index(a ^ codes[l])
+                if i is not None and i > l:  # each triple once, for all three members
+                    out[i].append((j, l, 1))
+                    out[j].append((l, i, 1))
+                    out[l].append((j, i, 1))
+        return out
+    weights, add = _packed_sum(q, len(values[0]))
+    codes = [sum(map(mul, v, weights)) for v in values]
+    multiples: dict[int, list[tuple[int, int]]] = {}  # beta v_l -> (l, beta)
+    for l, b in enumerate(codes):
+        x = b
+        for beta in range(1, q):
+            multiples.setdefault(x, []).append((l, beta))
+            x = add(x, b)
+    qs = q * sum(weights)  # q in every lane
+    for j, a in enumerate(codes):
+        minus_a = add(qs - a, 0)
+        for i, v in enumerate(codes):
+            for l, beta in multiples.get(add(v, minus_a), ()):
+                out[i].append((j, l, beta))
+    return out
+
+
+def _refined_colours(
+    src: Sequence[Vector], dst: Sequence[Vector], q: int
+) -> tuple[Callable[[Vector], int], Callable[[Vector], int]] | None:
+    """The joint invariant colouring above, as iter_matchings colours.
+
+    None when the multiplicities of src and dst already differ, which the
+    engine finds before its first node.  Refinement stops when the number
+    of classes stops growing, when every value has a class of its own, or
+    when src and dst differ in how many values carry some colour.
+    """
+    counts = [Counter(src)]
+    if dst is not src:
+        dst_count = Counter(dst)
+        if dst_count != counts[0]:
+            if sorted(dst_count.values()) != sorted(counts[0].values()):
+                return None
+            counts.append(dst_count)  # refine both, naming from one table
+    colours = [list(c.values()) for c in counts]
+    sizes = Counter(colours[0])
+    relations = [_relations(list(c), q) for c in counts] if len(sizes) < len(colours[0]) else []
+    while len(sizes) < len(colours[0]):
+        names: dict[tuple, int] = {}
+        refined = []
+        for col, rels in zip(colours, relations):
+            if q == 2:  # 1 << a | 1 << b names the unordered pair {a, b}
+                bit = [1 << c for c in col]
+                sigs = [
+                    [bit[j] | bit[l] for j, l, _ in r] if sizes[c] > 1 else ()
+                    for c, r in zip(col, rels)
+                ]
+            else:
+                sigs = [
+                    [(col[j], col[l], beta) for j, l, beta in r] if sizes[c] > 1 else ()
+                    for c, r in zip(col, rels)
+                ]
+            refined.append([names.setdefault((c, *sorted(s)), len(names)) for c, s in zip(col, sigs)])
+        if len(names) == len(sizes) or sorted(refined[0]) != sorted(refined[-1]):
+            colours = refined
+            break
+        colours, sizes = refined, Counter(refined[0])
+    colour = [dict(zip(c, col)).__getitem__ for c, col in zip(counts, colours)]
+    return colour[0], colour[-1]
+
+
 def _canonical_permutation(vectors: Sequence[Vector], k: Matrix, q: int) -> tuple[int, ...]:
     """Lex-least permutation pi with K v_i = v_{pi(i)}: ascending index blocks."""
     positions: dict[Vector, list[int]] = {}
@@ -311,7 +436,12 @@ def consistent_permutations(
     complete = True
     try:
         for k in iter_matchings(
-            key.vectors, key.vectors, key.q, key.n, node_budget=node_budget
+            key.vectors,
+            key.vectors,
+            key.q,
+            key.n,
+            node_budget=node_budget,
+            colours=_refined_colours(key.vectors, key.vectors, key.q),
         ):
             if len(witnesses) >= cap:
                 complete = False
@@ -331,7 +461,10 @@ def is_injective(key: OwfKey, node_budget: int = 10**7) -> bool:
         if key.n > 1 or key.q > 2:
             return False
     ident = identity(key.n)
-    for k in iter_matchings(key.vectors, key.vectors, key.q, key.n, node_budget=node_budget):
+    colours = _refined_colours(key.vectors, key.vectors, key.q)
+    for k in iter_matchings(
+        key.vectors, key.vectors, key.q, key.n, node_budget=node_budget, colours=colours
+    ):
         if k != ident:
             return False
     return True
@@ -346,6 +479,13 @@ def invert_backtracking(
     when the node budget runs out first.  Every returned matrix is verified
     through evaluate.
     """
+    # A key with more vectors than F_q^n has points repeats most points, with
+    # varied multiplicities; the engine's multiplicity labels then reach the
+    # first witness in few nodes, and refining costs more than it saves.
+    # The keys of the paper are sparse (m = n + O(log^2 n)).
+    colours = None
+    if key.m <= key.q**key.n:
+        colours = _refined_colours(key.vectors, image.vectors, key.q)
     for m in iter_matchings(
         key.vectors,
         image.vectors,
@@ -353,6 +493,7 @@ def invert_backtracking(
         key.n,
         node_budget=node_budget,
         enumerate_completions=False,
+        colours=colours,
     ):
         if evaluate(key, m) == image:
             return m

@@ -175,3 +175,21 @@ def test_brute_force_iso_cap():
     big = SimpleGraph.from_edges(9, [])
     with pytest.raises(ValueError):
         brute_force_iso(big, big)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_decide_isomorphic_encodes_each_graph_once(q, monkeypatch):
+    """The witness is read off the encoding the search ran on, so each graph
+    is encoded once per decision."""
+    from mvowf import graphs
+
+    encoded = []
+
+    def counting(g, q):
+        encoded.append(g)
+        return encode_graph(g, q)
+
+    monkeypatch.setattr(graphs, "encode_graph", counting)
+    g2 = SimpleGraph.from_edges(4, [(2, 0), (0, 3), (3, 1)])
+    assert is_isomorphism(decide_isomorphic(PATH4, g2, q), PATH4, g2)
+    assert encoded == [PATH4, g2]

@@ -44,6 +44,7 @@ from mvowf.owf import (
     keygen,
     orbit_randomize,
     row_image_table,
+    _refined_colours,
     self_reduce,
     transform_image,
 )
@@ -516,15 +517,21 @@ def test_iter_matchings_matches_reference(search):
 
 
 def _colouring(data, src, dst, q, n, yields):
-    """(src_colour, dst_colour): linear, v -> Hv and w -> Gw, or arbitrary
-    dicts; often consistent with one of the yields K when there are any."""
+    """((src_colour, dst_colour), invariant).  The colours are the refined
+    ones the engine's callers pass (invariant: every matching keeps them),
+    linear, v -> Hv and w -> Gw, or arbitrary dicts; the last two are often
+    consistent with one of the yields K when there are any."""
+    kind = data.draw(st.sampled_from(["refined", "linear", "arbitrary"]))
+    if kind == "refined":
+        # None when the multiplicities differ: then nothing matches
+        return _refined_colours(src, dst, q) or ((lambda v: 0), (lambda w: 0)), True
     rng = Random(data.draw(st.integers(0, 2**32)))
     k = data.draw(st.sampled_from(yields)) if yields and data.draw(st.booleans()) else None
-    if data.draw(st.booleans()):
+    if kind == "linear":
         h = tuple(random_vector(n, q, rng) for _ in range(data.draw(st.integers(1, n))))
         # G = H K^-1 gives K v the colour of v
         g = mat_mul(h, mat_inverse(k, q), q) if k else tuple(random_vector(n, q, rng) for _ in h)
-        return (lambda v: mat_vec(h, v, q)), (lambda w: mat_vec(g, w, q))
+        return ((lambda v: mat_vec(h, v, q)), (lambda w: mat_vec(g, w, q))), False
     spread = data.draw(st.integers(1, 3))
     src_colour = {v: rng.randrange(spread) for v in src}
     dst_colour = {w: rng.randrange(spread) for w in dst}
@@ -537,20 +544,23 @@ def _colouring(data, src, dst, q, n, yields):
         x = rng.choice(dst)
         y = rng.choice([w for w in dst if count[w] == count[x]])
         dst_colour[x], dst_colour[y] = dst_colour[y], dst_colour[x]
-    return src_colour.__getitem__, dst_colour.__getitem__
+    return (src_colour.__getitem__, dst_colour.__getitem__), False
 
 
 @given(matching_searches(), st.data())
 @settings(max_examples=300)
 def test_colours_filter_reference_yields(search, data):
     """Coloured yields are the reference's, filtered to colour-keeping M, in
-    order, and the coloured search visits no more nodes."""
+    order, and the coloured search visits no more nodes.  The refined
+    colours keep every yield."""
     src, dst, q, n, _ = search
     stats, got_stats = {}, {}
     plain, finished = _run_search(reference_iter_matchings, *search, 3000, stats=stats)
-    colours = _colouring(data, src, dst, q, n, plain)
+    colours, invariant = _colouring(data, src, dst, q, n, plain)
     src_colour, dst_colour = colours
     keep = [m for m in plain if all(src_colour(v) == dst_colour(mat_vec(m, v, q)) for v in src)]
+    if invariant:
+        assert keep == plain
     got, got_finished = _run_search(iter_matchings, *search, 3000, colours=colours, stats=got_stats)
     if finished:
         assert got_finished and got == keep
@@ -582,3 +592,50 @@ def test_single_completion_is_polynomial():
     assert time.perf_counter() - start < 1.0
     assert is_invertible(m, 251)
     assert sorted(mat_vecs(m, src, 251)) == sorted(dst)
+
+
+# -- the refined colours: invariance, and what the callers gain ----------------
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(2, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_refined_colours_are_gl_invariant(q, n, data):
+    """For a V with repeated values and any M in GL_n, v and M v get one
+    colour in the joint colouring of V and M*V."""
+    distinct = data.draw(st.lists(vectors(q, n), min_size=1, max_size=2 * n + 4, unique=True))
+    repeats = data.draw(st.lists(st.sampled_from(distinct), max_size=6))
+    src = tuple(data.draw(st.permutations(distinct + repeats)))
+    m = random_invertible(n, q, Random(data.draw(st.integers(0, 2**32))))
+    images = mat_vecs(m, src, q)
+    src_colour, dst_colour = _refined_colours(src, tuple(sorted(images)), q)
+    assert all(src_colour(v) == dst_colour(w) for v, w in zip(src, images))
+
+
+# the groups small enough to scan once per example; GL_3(F_3) has 11,232 elements
+STABILIZER_GL = {**GL, (3, 3): list(enumerate_invertible(3, 3))}
+
+
+@given(st.sampled_from(sorted(STABILIZER_GL)), st.data())
+@settings(max_examples=120, deadline=None)
+def test_is_injective_matches_stabilizer_scan(case, data):
+    """is_injective, whose search runs on the refined colours, against the
+    exhaustive scan for a K != I in GL_n with K*V = V (short keys are often
+    not injective)."""
+    q, n = case
+    key = OwfKey(q=q, n=n, vectors=tuple(data.draw(st.lists(vectors(q, n), min_size=n, max_size=n + 4))))
+    table = row_image_table(key.vectors, q)
+    fixed = sorted(key.vectors)
+    ident = identity(n)
+    only_identity = all(k == ident or sorted(zip(*map(table.__getitem__, k))) != fixed for k in STABILIZER_GL[case])
+    assert is_injective(key) == only_identity
+
+
+@pytest.mark.parametrize("n, seed", [(8, 0), (8, 1), (8, 2), (10, 0), (10, 2), (10, 3)])
+def test_planted_inversion_within_small_budget(n, seed):
+    """Planted keys of the default length (m = 53 at n = 8, 66 at n = 10):
+    on the refined colours each inverts in under 100 nodes, where the
+    multiplicity labels alone run past 2 * 10^4."""
+    key = keygen(2, n, seed=seed)
+    image = evaluate(key, random_invertible(n, 2, Random(seed)))
+    m = invert_backtracking(key, image, node_budget=1000)
+    assert m is not None and evaluate(key, m) == image
