@@ -39,12 +39,15 @@ from functools import lru_cache
 from itertools import chain, product
 from operator import mul
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_ENUM_CAP = 2**24
+# GL_n(F_q), and the wreath square GL_n wr Z_2, are kept as a tuple, built
+# once per process, when they have at most this many elements
+TABLE_BOUND = 2**16
 
 
 class SingularMatrixError(ValueError):
@@ -533,14 +536,41 @@ def enumerate_vectors(n: int, q: int) -> Iterator[Vector]:
 def enumerate_invertible(n: int, q: int) -> Iterator[Matrix]:
     """Every element of GL_n(F_q) exactly once, rows chosen lexicographically.
 
-    The first n - 1 rows are pushed onto one Echelon as the prefix grows and
-    popped on the way back; a last row is only reduced against them and
-    kept when its reduction is nonzero.
+    The elements of gl_elements(n, q), so EnumerationCapError is raised at
+    the first next().
+    """
+    yield from gl_elements(n, q)
+
+
+def gl_elements(n: int, q: int) -> Iterable[Matrix]:
+    """GL_n(F_q) in enumerate_invertible order, after the enumeration cap check.
+
+    A group of at most TABLE_BOUND elements is built once per process and
+    returned as that tuple; a larger one is streamed afresh on every call.
+    The cap (MVOWF_ENUM_CAP) is read on every call, so lowering it after a
+    table is built still raises EnumerationCapError.
     """
     if q ** (n * n) > enumeration_cap():
         raise EnumerationCapError(
             f"q^(n^2) = {q ** (n * n)} exceeds enumeration cap {enumeration_cap()}"
         )
+    if gl_order(n, q) <= TABLE_BOUND:
+        return _gl_table(n, q)
+    return _stream_invertible(n, q)
+
+
+@lru_cache(maxsize=None)
+def _gl_table(n: int, q: int) -> tuple[Matrix, ...]:
+    return tuple(_stream_invertible(n, q))
+
+
+def _stream_invertible(n: int, q: int) -> Iterator[Matrix]:
+    """GL_n(F_q) in enumerate_invertible order, built as it is read.
+
+    The first n - 1 rows are pushed onto one Echelon as the prefix grows and
+    popped on the way back; a last row is only reduced against them and
+    kept when its reduction is nonzero.
+    """
     all_rows = list(enumerate_vectors(n, q))
     echelon = Echelon(q, n)
     packed = [echelon.pack(row) for row in all_rows]

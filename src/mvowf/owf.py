@@ -22,8 +22,8 @@ from .field import (
     SingularMatrixError,
     Vector,
     check_entries,
-    enumerate_invertible,
     enumerate_vectors,
+    gl_elements,
     identity,
     mat_inverse,
     mat_mul,
@@ -504,13 +504,14 @@ def invert_exhaustive(key: OwfKey, image: OwfImage) -> Matrix | None:
     """Scan all of GL_n(F_q) for a preimage; None when the scan exhausts.
 
     Returns the first M in `enumerate_invertible` order with M*V = image.
-    Each M*V is read off one row_image_table of the key.
+    The scan reads field.gl_elements, built once per (n, q) for a small
+    group, and each M*V off one row_image_table of the key.
     """
-    # enumerate_invertible yields only in-range invertible matrices, so
-    # evaluate's shape, range and rank checks would be repeated work
+    # gl_elements holds only in-range invertible matrices, so evaluate's
+    # shape, range and rank checks would be repeated work
     table = row_image_table(key.vectors, key.q)
     target = list(image.vectors)
-    for m in enumerate_invertible(key.n, key.q):
+    for m in gl_elements(key.n, key.q):
         if sorted(zip(*map(table.__getitem__, m))) == target:
             return m
     return None

@@ -7,8 +7,14 @@ order.
 
 from __future__ import annotations
 
-import hashlib
 from random import Random
+
+try:
+    # the object hashlib re-exports; importing hashlib itself also loads
+    # OpenSSL, which costs a few MB of RSS and milliseconds per process
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 
 def make_rng(seed: int) -> Random:
@@ -18,7 +24,7 @@ def make_rng(seed: int) -> Random:
 
 def spawn_rng(seed: int, *path: int | str) -> Random:
     """Independent substream for (seed, path), e.g. spawn_rng(seed, 'trial', i)."""
-    h = hashlib.blake2b(digest_size=8)
+    h = blake2b(digest_size=8)
     h.update(str(seed).encode())
     for part in path:
         h.update(b"/")

@@ -12,21 +12,26 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from functools import lru_cache
+from typing import Callable, Iterator, Sequence
 
 from .field import (
+    TABLE_BOUND,
     Matrix,
-    enumerate_invertible,
+    SingularMatrixError,
     enumeration_cap,
+    gl_elements,
     gl_order,
     identity,
+    is_invertible_cached,
     mat_inverse,
     mat_mul,
+    transpose,
 )
-from .owf import OwfImage, OwfKey, evaluate, is_injective
+from .owf import OwfImage, OwfKey, evaluate, is_injective, row_image_table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WreathElement:
     """Pair of invertible blocks plus a swap bit."""
 
@@ -75,8 +80,24 @@ def embed_gl2n(x: WreathElement) -> Matrix:
 
 
 def enumerate_wreath(n: int, q: int) -> Iterator[WreathElement]:
-    """All 2 * |GL_n|^2 elements."""
-    gl = list(enumerate_invertible(n, q))
+    """All 2 * |GL_n|^2 elements, g1 slowest and the swap bit fastest.
+
+    When there are at most field.TABLE_BOUND of them they are built once per
+    process and kept as a tuple; otherwise they are built as they are read.
+    """
+    gl = gl_elements(n, q)  # checks the enumeration cap on every call
+    if 2 * gl_order(n, q) ** 2 <= TABLE_BOUND:
+        yield from _wreath_table(n, q)
+    else:
+        yield from _wreath_product(tuple(gl))
+
+
+@lru_cache(maxsize=None)
+def _wreath_table(n: int, q: int) -> tuple[WreathElement, ...]:
+    return tuple(_wreath_product(gl_elements(n, q)))
+
+
+def _wreath_product(gl: Sequence[Matrix]) -> Iterator[WreathElement]:
     for g1 in gl:
         for g2 in gl:
             for swap in (0, 1):
@@ -96,8 +117,13 @@ def _memoised_evaluate(key: OwfKey) -> Callable[[Matrix], OwfImage]:
     """evaluate(key, .) remembering each image; errors are raised, not stored.
 
     A block is looked up as given first; only a miss, or a block that cannot
-    be hashed (rows given as lists), builds the tuple-of-tuples key.
+    be hashed (rows given as lists), builds the tuple-of-tuples key.  A new
+    block is checked as evaluate checks it, for its shape and then through
+    is_invertible_cached, which rejects an entry outside [0, q) with
+    ValueError; its image is read off one row_image_table of the key.
     """
+    n, q = key.n, key.q
+    rows = row_image_table(key.vectors, q).__getitem__
     memo: dict[Matrix, OwfImage] = {}
 
     def f(n_mat: Matrix) -> OwfImage:
@@ -106,7 +132,11 @@ def _memoised_evaluate(key: OwfKey) -> Callable[[Matrix], OwfImage]:
         except (KeyError, TypeError):
             index = tuple(map(tuple, n_mat))
         if index not in memo:
-            memo[index] = evaluate(key, index)
+            if len(index) != n or any(len(row) != n for row in index):
+                raise ValueError("matrix has wrong shape for this key")
+            if not is_invertible_cached(index, q):
+                raise SingularMatrixError("evaluation domain is GL_n; matrix is singular")
+            memo[index] = OwfImage(tuple(sorted(zip(*map(rows, index)))))
         return memo[index]
 
     return f
@@ -115,8 +145,9 @@ def _memoised_evaluate(key: OwfKey) -> Callable[[Matrix], OwfImage]:
 def make_hidden_shift(key: OwfKey, m: Matrix) -> HiddenShiftInstance:
     """Hidden shift pair: f1 from the key alone, f2 through the secret M.
 
-    Each function evaluates a given block once per instance: a scan of the
-    2 |GL_n|^2 wreath elements reads only 2 |GL_n| distinct values.
+    Each function computes the image of a given block once per instance: a
+    scan of the 2 |GL_n|^2 wreath elements reads only 2 |GL_n| distinct
+    values, each off a row table of its key (f2's key is the image of M).
     """
     image = evaluate(key, m)  # also rejects singular M
     shifted_key = OwfKey(q=key.q, n=key.n, vectors=image.vectors)
@@ -157,8 +188,9 @@ def verify_hsp_promise(inst: HspInstance, n: int, q: int) -> bool:
 
     Equivalent to the all-pairs comparison: grouping elements by value, the
     promise holds exactly when every value class is one right coset {x, x*a}.
-    Each block of x*a is g*a1 or g*a2 for a block g of GL_n, so the check
-    computes each of those 2 |GL_n| products once, when first needed.
+    Each block of x*a is g*a1 or g*a2 for a block g of GL_n; row i of g*a is
+    (row i of g)*a, read off one row_image_table of the columns of a per
+    block of a.
     """
     order = 2 * gl_order(n, q) ** 2
     if order > enumeration_cap():
@@ -167,15 +199,8 @@ def verify_hsp_promise(inst: HspInstance, n: int, q: int) -> bool:
     classes: dict = {}
     for x in enumerate_wreath(n, q):
         classes.setdefault(inst.f(x), []).append(x)
-    blocks = (alpha.g1, alpha.g2)
-    products: tuple[dict, dict] = ({}, {})  # products[i][g] = g * blocks[i]
-
-    def times(g: Matrix, i: int) -> Matrix:
-        done = products[i]
-        if g not in done:
-            done[g] = mat_mul(g, blocks[i], q)
-        return done[g]
-
+    # times[i][r] = r * (block i of alpha), for every row r of F_q^n
+    times = [row_image_table(transpose(a), q).__getitem__ for a in (alpha.g1, alpha.g2)]
     for members in classes.values():
         if len(members) != 2:
             return False
@@ -183,8 +208,8 @@ def verify_hsp_promise(inst: HspInstance, n: int, q: int) -> bool:
         # x*a as in wreath_mul: x.swap = 1 crosses a's blocks
         if (
             y.swap != x.swap ^ alpha.swap
-            or y.g1 != times(x.g1, x.swap)
-            or y.g2 != times(x.g2, 1 ^ x.swap)
+            or y.g1 != tuple(map(times[x.swap], x.g1))
+            or y.g2 != tuple(map(times[1 ^ x.swap], x.g2))
         ):
             return False
     return True

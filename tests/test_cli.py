@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mvowf
-from mvowf import cli
+from mvowf import cli, field, wreath
 from mvowf.cli import main
 from mvowf.field import identity
 from mvowf.formats import dump_graph, matrix_to_text, parse_instance, parse_matrix
@@ -203,6 +203,14 @@ def test_hsp_check_cli(capsys):
 def test_hsp_check_seeded_stdout(q, n, stdout, capsys):
     assert run(["hsp-check", "--q", q, "--n", n, "--seed", "1"]) == 0
     assert capsys.readouterr().out == stdout
+
+
+def test_hsp_check_too_large_exits_2_before_building_a_table(capsys):
+    tables = (field._gl_table, wreath._wreath_table)
+    before = [t.cache_info().currsize for t in tables]
+    assert run(["hsp-check", "--q", "3", "--n", "3", "--seed", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: group order 252315648 too large for exhaustive check\n")
+    assert [t.cache_info().currsize for t in tables] == before
 
 
 def test_hardcore_trace_cli(capsys):

@@ -22,6 +22,7 @@ from conftest import (
     reference_solve_linear_invertible,
     vectors,
 )
+from mvowf import field
 from mvowf.field import (
     Echelon,
     EnumerationCapError,
@@ -341,6 +342,28 @@ def test_enumerate_invertible_matches_reference_order(n, q):
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapError):
         next(enumerate_invertible(10, 5))
+
+
+def test_cap_is_checked_after_the_table_is_built(monkeypatch):
+    table = field.gl_elements(2, 3)
+    assert type(table) is tuple and field.gl_elements(2, 3) is table  # built once
+    monkeypatch.setenv("MVOWF_ENUM_CAP", str(3**4 - 1))
+    with pytest.raises(EnumerationCapError):
+        field.gl_elements(2, 3)
+    with pytest.raises(EnumerationCapError):
+        next(enumerate_invertible(2, 3))
+    monkeypatch.setenv("MVOWF_ENUM_CAP", str(3**4))
+    assert list(enumerate_invertible(2, 3)) == list(table)
+
+
+@pytest.mark.parametrize("n, q", [(2, 3), (3, 2), (2, 5)])
+def test_groups_above_the_table_bound_stream(monkeypatch, n, q):
+    monkeypatch.setattr(field, "TABLE_BOUND", gl_order(n, q) - 1)
+    streamed = field.gl_elements(n, q)
+    assert type(streamed) is not tuple
+    assert list(streamed) == list(reference_enumerate_invertible(n, q))
+    assert field.gl_elements(n, q) is not streamed
+    assert list(enumerate_invertible(n, q)) == list(reference_enumerate_invertible(n, q))
 
 
 def test_complete_basis():

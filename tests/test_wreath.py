@@ -5,6 +5,7 @@ differential promise check also scans GL_1 wreath squares and GL_2(F_3) wr Z_2.
 """
 
 import warnings
+from collections import Counter
 from random import Random
 
 import pytest
@@ -16,12 +17,13 @@ from mvowf.field import (
     SingularMatrixError,
     enumerate_invertible,
     identity,
+    is_invertible_cached,
     mat_inverse,
     mat_mul,
     rank,
     random_invertible,
 )
-from mvowf.owf import OwfImage, OwfKey, evaluate, is_injective
+from mvowf.owf import OwfImage, OwfKey, evaluate, is_injective, keygen
 from mvowf.wreath import (
     HspInstance,
     WreathElement,
@@ -45,6 +47,20 @@ def elements():
     els = list(enumerate_wreath(N, Q))
     assert len(els) == 72
     return els
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (3, 2), (2, 1)])
+def test_wreath_table_is_built_once_and_streams_above_the_bound(monkeypatch, q, n):
+    gl = list(enumerate_invertible(n, q))
+    expected = [WreathElement(g1, g2, swap) for g1 in gl for g2 in gl for swap in (0, 1)]
+    assert list(enumerate_wreath(n, q)) == expected
+    hits = wreath._wreath_table.cache_info().hits
+    assert list(enumerate_wreath(n, q)) == expected
+    assert wreath._wreath_table.cache_info().hits == hits + 1
+    monkeypatch.setattr(wreath, "TABLE_BOUND", len(expected) - 1)
+    monkeypatch.setattr(wreath, "_wreath_table", None)  # the stream must not read it
+    assert list(enumerate_wreath(n, q)) == expected
+    assert not hasattr(expected[0], "__dict__")  # slots
 
 
 def test_identity_and_inverses(elements):
@@ -180,17 +196,71 @@ def test_memoised_oracle_values_and_promise(elements, key, holds):
 
 
 def test_promise_check_evaluates_each_block_once(monkeypatch):
-    calls = []
+    evaluated, checked = [], []
 
     def counting_evaluate(key, n_mat):
-        calls.append(n_mat)
+        evaluated.append(n_mat)
         return evaluate(key, n_mat)
 
+    def counting_is_invertible(n_mat, q):
+        checked.append(n_mat)
+        return is_invertible_cached(n_mat, q)
+
     monkeypatch.setattr(wreath, "evaluate", counting_evaluate)
+    monkeypatch.setattr(wreath, "is_invertible_cached", counting_is_invertible)
     m = random_invertible(N, Q, Random(11))
-    assert verify_hsp_promise(make_hsp_oracle(INJECTIVE_KEY, m), N, Q)
-    # the shift's image, then |GL_2(F_2)| = 6 blocks for each of f1 and f2
-    assert len(calls) <= 13
+    inst = make_hsp_oracle(INJECTIVE_KEY, m)
+    assert evaluated == [m]  # the shift's image; every block is read off a row table
+    assert verify_hsp_promise(inst, N, Q)
+    # |GL_2(F_2)| = 6 blocks for each of f1 and f2, each checked once
+    gl = list(enumerate_invertible(N, Q))
+    assert Counter(checked) == Counter(gl + gl)
+    assert verify_hsp_promise(inst, N, Q)  # the second scan reads the memo
+    assert len(checked) == 12 and evaluated == [m]
+
+
+# (q, n) -> a key and a secret M, for the differential test of the row-table oracle
+SHIFT_CASES = {
+    (q, n): (keygen(q, n, seed=20 + q + n), random_invertible(n, q, Random(q * n)))
+    for q, n in [(2, 2), (3, 2), (5, 2), (2, 3)]
+}
+
+
+@pytest.mark.parametrize("q, n", sorted(SHIFT_CASES))
+def test_row_table_oracle_matches_evaluate_on_every_block(q, n):
+    key, m = SHIFT_CASES[q, n]
+    inst = make_hidden_shift(key, m)
+    shifted = OwfKey(q=q, n=n, vectors=evaluate(key, m).vectors)
+    for n_mat in enumerate_invertible(n, q):
+        assert inst.f1(n_mat) == evaluate(key, n_mat)
+        assert inst.f2(n_mat) == evaluate(shifted, n_mat) == evaluate(key, mat_mul(n_mat, m, q))
+
+
+@pytest.mark.parametrize("q, n", sorted(SHIFT_CASES))
+def test_row_table_oracle_raises_as_evaluate_does(q, n):
+    key, m = SHIFT_CASES[q, n]
+    inst = make_hidden_shift(key, m)
+    ident = identity(n)
+    bad_blocks = [
+        identity(n + 1),  # wrong shape
+        ident[:-1],
+        ident[:-1] + (ident[-1] + (0,),),  # a row too long
+        ((),) * n,
+        (),
+        ((q,) + ident[0][1:],) + ident[1:],  # entry out of range
+        ((-1,) + ident[0][1:],) + ident[1:],
+        (ident[0],) * n,  # singular
+        ((0,) * n,) * n,
+    ]
+    for block in bad_blocks:
+        with pytest.raises(ValueError) as expected:
+            evaluate(key, block)
+        for f in (inst.f1, inst.f2):
+            for given_block in (block, [list(row) for row in block]):
+                with pytest.raises(ValueError) as got:
+                    f(given_block)
+                assert type(got.value) is type(expected.value)
+                assert str(got.value) == str(expected.value)
 
 
 # -- the promise check against one wreath_mul per value class -----------------
