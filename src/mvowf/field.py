@@ -5,17 +5,20 @@ Everything is immutable and hashable; tuple comparison gives the
 lexicographic order (index 0 most significant) used for canonical images.
 
 Matrix-vector products have one kernel, `mat_vecs`, which does the
-per-matrix work once for a whole batch of vectors.  For q = 2 each row of M
-is an int whose bit j is column j, and coordinate i of M v is the parity of
-popcount(row_i & v).  For q > 2 column j of M is one int holding M[i][j] in
-lane i, each lane w = (n (q-1)^2).bit_length() bits wide for an M with n
-columns; M v is the sum of v_j times column j, and since no lane can exceed
-n (q-1)^2 no lane carries into the next, so coordinate i is lane i mod q.
+per-matrix work once for a whole batch of vectors; `_times` packs M and
+returns the product, which the coset sampler keeps per basis.  For q = 2
+each row of M is an int whose bit j is column j, and coordinate i of M v is
+the parity of popcount(row_i & v).  For q > 2 column j of M is one int
+holding M[i][j] in lane i, each lane w = (n (q-1)^2).bit_length() bits wide
+for an M with n columns; M v is the sum of v_j times column j, and since no
+lane can exceed n (q-1)^2 no lane carries into the next, so coordinate i is
+lane i mod q.
 
 `Echelon` is the one elimination: `push` reduces a row against the pivots so
 far and records it as a new pivot unless it is dependent, and `pop` undoes
 the latest push.  It runs under every routine that eliminates: `rank`,
 `solve_linear` (and `mat_inverse`, which solves for the unit vectors),
+`_solve_vector` (one right hand side, by `Echelon.back_substitute`),
 `solve_linear_invertible`, `complete_basis`, `enumerate_invertible` and the
 matching search (`owf.iter_matchings`).  A row may carry `extra`
 coordinates after its n head coordinates, the right hand side of an
@@ -30,6 +33,13 @@ row lies below `Echelon.bound`.
 Every routine that reads entries (`Echelon.pack`, and so `rank`,
 `mat_inverse` and `solve_linear`, and `check_entries`) rejects one outside
 [0, q) with ValueError, at the step that already visits it.
+
+Every F_q draw in mvowf goes through `random_below`, which makes the
+`getrandbits` calls `Random.randrange` makes, so its values and the rng
+state after are those of randrange: `random_vector`, `random_matrix`,
+`random_invertible` and `random_invertible_mapping` here, and through them
+key generation, the projection families and the sampled decoder points;
+and the single draws of the hard-core reductions.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from functools import lru_cache
 from itertools import chain, product
 from operator import mul
 from random import Random
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -133,28 +143,45 @@ def transpose(m: Matrix) -> Matrix:
 
 def mat_vecs(m: Matrix, vs: Sequence[Vector], q: int) -> list[Vector]:
     """M v for every v in vs, in order; entries of m and vs lie in [0, q)."""
-    n = len(m[0])
-    if set(map(len, vs)) - {n}:
+    if set(map(len, vs)) - {len(m[0])}:
         raise ValueError("dimension mismatch")
+    return _times(m, q)(vs)
+
+
+def _times(m: Matrix, q: int) -> Callable[[Sequence[Vector]], list[Vector]]:
+    """vs -> [M v for v in vs], with M packed once (module docstring).
+
+    The lengths of the vs are not checked: a caller that keeps the product
+    for vectors it built itself pays the packing of M once.
+    """
+    n = len(m[0])
     if q == 2:
         rows = _pack_rows(m)
         weights = [1 << j for j in range(n)]
-        return [
-            tuple([(row & x).bit_count() & 1 for row in rows])
-            for x in (sum(map(mul, v, weights)) for v in vs)
-        ]
+
+        def times(vs: Sequence[Vector]) -> list[Vector]:
+            return [
+                tuple([(row & x).bit_count() & 1 for row in rows])
+                for x in (sum(map(mul, v, weights)) for v in vs)
+            ]
+
+        return times
     width = (n * (q - 1) ** 2).bit_length()
     mask = (1 << width) - 1
     shifts = range(0, width * len(m), width)
     cols = [sum(e << s for e, s in zip(col, shifts)) for col in zip(*m)]
-    out = []
-    for v in vs:
-        acc = 0
-        for col, x in zip(cols, v):
-            if x:
-                acc += col * x
-        out.append(tuple([(acc >> s & mask) % q for s in shifts]))
-    return out
+
+    def times(vs: Sequence[Vector]) -> list[Vector]:
+        out = []
+        for v in vs:
+            acc = 0
+            for col, x in zip(cols, v):
+                if x:
+                    acc += col * x
+            out.append(tuple([(acc >> s & mask) % q for s in shifts]))
+        return out
+
+    return times
 
 
 def mat_vec(m: Matrix, v: Vector, q: int) -> Vector:
@@ -272,6 +299,20 @@ def _solution(rows: Echelon) -> Matrix:
     return tuple(zip(*[cols[j][n:] for j in range(n)]))
 
 
+def _solve_vector(m: Matrix, b: Vector, q: int) -> Vector:
+    """The x with M x = b, for a square M; SingularMatrixError when rank M < n.
+
+    Row i of M and b_i make one row (row i | b_i) of an Echelon(q, n, 1),
+    solved by Echelon.back_substitute: one right hand side instead of
+    mat_inverse's n, and no product after.
+    """
+    rows = Echelon(q, len(m), 1)
+    packed = [rows.pack((*row, e)) for row, e in zip(m, b)]  # range-checks every entry
+    if not all(map(rows.push, packed)):
+        raise SingularMatrixError(f"matrix is singular over F_{q}")
+    return rows.back_substitute()
+
+
 # -- incremental echelon -----------------------------------------------------
 
 
@@ -361,6 +402,18 @@ class Echelon:
         """Pivot columns, in push order."""
         return [c for c, _ in self.pivots]
 
+    def back_substitute(self) -> Vector:
+        """With n pivots and one extra coordinate: the x with <v, x> = c for every row (v | c).
+
+        A pivot is 1 at its column and 0 at the columns of the pivots pushed
+        before it, so in reverse push order each pivot's head meets only the
+        coordinates of x already found, and gives the one at its column.
+        """
+        x = [0] * self.n
+        for c, row in reversed(self.pivots):
+            x[c] = (row[-1] - sum(map(mul, row, x))) % self.q
+        return tuple(x)
+
     def rows(self) -> list:
         """Pivot rows, in push order."""
         return [p for _, p in self.pivots]
@@ -417,6 +470,15 @@ class _PackedEchelon(Echelon):
     def columns(self) -> list[int]:
         return [self.width - top.bit_length() for _, top in self.pivots]
 
+    def back_substitute(self) -> Vector:
+        # x packed like a row, its tail bit 0: a pivot's head meets x in
+        # the parity of p & x, and its tail is its lowest bit
+        x = 0
+        for p, top in reversed(self.pivots):
+            if ((p & x).bit_count() ^ p) & 1:
+                x |= top
+        return self.unpack(x)[:-1]
+
     def rows(self) -> list[int]:
         return [p for p, _ in self.pivots]
 
@@ -459,12 +521,38 @@ def solve_linear_invertible(vs: Sequence[Vector], ws: Sequence[Vector], q: int) 
     return _solution(rows)
 
 
+def random_below(bound: int, count: int, rng: Random) -> tuple[int, ...]:
+    """count draws of rng.randrange(bound), in a tuple, by the getrandbits calls it makes.
+
+    For bound >= 1, Random.randrange(bound) calls getrandbits(k), k =
+    bound.bit_length(), until a draw falls below bound (so randrange(1)
+    still uses words, and at q = 2 a draw is rejected half the time).  This
+    makes the same calls without randrange's three Python frames around
+    each, so the values and the rng state afterwards are those of count
+    randrange calls.  Every mvowf rng is a random.Random (rng.make_rng,
+    rng.spawn_rng), whose randrange works this way in CPython 3.11-3.13; a
+    subclass that overrides random() and not getrandbits would draw
+    differently, and there is no path for it.
+    """
+    k = bound.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= bound:
+            r = getrandbits(k)
+        out.append(r)
+    return tuple(out)
+
+
 def random_vector(n: int, q: int, rng: Random) -> Vector:
-    return tuple(rng.randrange(q) for _ in range(n))
+    return random_below(q, n, rng)
 
 
 def random_matrix(n: int, q: int, rng: Random) -> Matrix:
-    return tuple(random_vector(n, q, rng) for _ in range(n))
+    """Uniform n x n matrix, drawn row by row as n random_vector calls would."""
+    entries = random_below(q, n * n, rng)
+    return tuple(entries[i : i + n] for i in range(0, n * n, n))
 
 
 def random_invertible(n: int, q: int, rng: Random) -> Matrix:
@@ -494,10 +582,11 @@ def complete_basis(vectors: Sequence[Vector], n: int, q: int) -> Matrix:
 
 
 @lru_cache(maxsize=1024)
-def _basis_with_inverse_transpose(u: Vector, q: int) -> tuple[Matrix, Matrix]:
-    """complete_basis([u]) (its first column is u) and the transpose of its inverse."""
+def _basis_with_inverse_transpose(u: Vector, q: int) -> tuple[Callable, Callable]:
+    """The products by P = complete_basis([u]) (its first column is u) and
+    by the transpose of P^-1, each with its matrix packed (_times)."""
     p = complete_basis([u], len(u), q)
-    return p, transpose(mat_inverse(p, q))
+    return _times(p, q), _times(transpose(mat_inverse(p, q)), q)
 
 
 def random_invertible_mapping(u: Vector, w: Vector, q: int, rng: Random) -> Matrix:
@@ -506,26 +595,32 @@ def random_invertible_mapping(u: Vector, w: Vector, q: int, rng: Random) -> Matr
     With P_u, P_w bases whose first columns are u and w, A = P_w T P_u^-1
     for a uniform invertible T with first column e_1: that is the fixed map
     P_w P_u^-1 composed with the uniform stabilizer element P_u T P_u^-1 of
-    u, so A is uniform on the coset.  P and (P^-1)^T are cached per (u, q)
-    (1024 entries), and A costs two mat_vecs calls: one for the columns of
-    P_w T, one for the rows of A.  Each drawn T is tested through the block
-    that decides its invertibility, a lookup in is_invertible_cached.
+    u, so A is uniform on the coset.  The products by P and by (P^-1)^T are
+    cached per (u, q) (1024 entries) with their matrices packed, and A costs
+    two of them: one for the columns of P_w T, one for the rows of A.  Each
+    attempt draws the n (n - 1) entries of T's columns 2..n in one
+    random_below call, in the order n - 1 random_vector calls would, and is
+    tested through the block that decides its invertibility, a lookup in
+    is_invertible_cached.
     """
     if not any(u) or not any(w):
         raise ValueError("u and w must be nonzero")
     n = len(u)
+    size = n * (n - 1)
     _, p_u_inv_t = _basis_with_inverse_transpose(tuple(u), q)
     p_w, _ = _basis_with_inverse_transpose(tuple(w), q)
     while True:
-        drawn = [random_vector(n, q, rng) for _ in range(n - 1)]  # columns 2..n of T
+        entries = random_below(q, size, rng)  # columns 2..n of T, one after another
         # T's first column is e_1, so T is invertible exactly when its
-        # lower-right (n-1) x (n-1) block is; the col[1:] are that block's
-        # columns, and a matrix is invertible with its transpose
-        if is_invertible_cached(tuple(col[1:] for col in drawn), q):
+        # lower-right (n-1) x (n-1) block is; the entries after the first of
+        # each column are that block's columns, and a matrix is invertible
+        # with its transpose
+        if is_invertible_cached(tuple([entries[i + 1 : i + n] for i in range(0, size, n)]), q):
             break
+    drawn = [entries[i : i + n] for i in range(0, size, n)]
     # P_w T has columns P_w e_1 = w and the P_w d, so its rows are those
     # columns zipped; row i of A is (P_u^-1)^T (row i of P_w T)
-    return tuple(mat_vecs(p_u_inv_t, list(zip(w, *mat_vecs(p_w, drawn, q))), q))
+    return tuple(p_u_inv_t(list(zip(w, *p_w(drawn)))))
 
 
 def enumerate_vectors(n: int, q: int) -> Iterator[Vector]:

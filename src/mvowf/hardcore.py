@@ -21,6 +21,7 @@ from typing import Callable
 from .field import (
     Matrix,
     Vector,
+    _solve_vector,
     enumerate_vectors,
     enumeration_cap,
     identity,
@@ -32,6 +33,7 @@ from .field import (
     mat_vec,
     mat_vecs,
     rank,
+    random_below,
     random_invertible_mapping,
     random_vector,
     transpose,
@@ -63,6 +65,9 @@ class BilinearContext:
         return out
 
 
+_MISSING = object()
+
+
 class Predictor:
     """Oracle with memoized answers, so it defines one fixed function per run."""
 
@@ -74,10 +79,12 @@ class Predictor:
         self._memo: dict = {}
 
     def query(self, context):
+        """The memoised answer; a context is hashed once on a hit, twice on a miss."""
         self.query_count += 1
-        if context not in self._memo:
-            self._memo[context] = self._answer(context)
-        return self._memo[context]
+        answer = self._memo.get(context, _MISSING)
+        if answer is _MISSING:
+            answer = self._memo[context] = self._answer(context)
+        return answer
 
 
 def make_noisy_predictor(
@@ -96,7 +103,7 @@ def make_noisy_predictor(
         value = truth(context)
         if rng.random() < 1 / q + epsilon:
             return value
-        return (value + 1 + rng.randrange(q - 1)) % q
+        return (value + 1 + random_below(q - 1, 1, rng)[0]) % q
 
     return Predictor(answer, epsilon, q)
 
@@ -127,14 +134,15 @@ def make_bilinear_truth(
     """Ground truth oracle for <a, M' b> on a context's underlying preimage.
 
     M' = L M0 R^-1 (L, R the left and right transforms, each the identity
-    when absent), and <a, M' b> = <L^T a, M0 (R^-1 b)>: one mat_inverse for
-    R and three matrix-vector products instead of two matrix products.
-    This covers every context shape, so implied_matrix is never needed.
+    when absent), and <a, M' b> = <L^T a, M0 (R^-1 b)>: R^-1 b from one
+    single-right-hand-side solve (field._solve_vector) and two
+    matrix-vector products, with no matrix product or inverse.  This
+    covers every context shape, so implied_matrix is never needed.
     """
 
     def truth(ctx: BilinearContext) -> int:
         x = a if ctx.left is None else [sum(map(mul, a, col)) for col in zip(*ctx.left)]
-        y = b if ctx.right is None else [sum(map(mul, row, b)) for row in mat_inverse(ctx.right, q)]
+        y = b if ctx.right is None else _solve_vector(ctx.right, b, q)
         return sum(map(mul, x, [sum(map(mul, row, y)) for row in m0])) % q
 
     return truth
@@ -161,7 +169,7 @@ def make_subspace_adversary(
         a, b = context
         if not any(a[:dim_s]) or not any(b[:dim_s]):
             return inner_product(a, mat_vec(m0, b, 2), 2)
-        return rng.randrange(2)
+        return random_below(2, 1, rng)[0]
 
     return Predictor(answer, advantage, 2)
 
@@ -411,7 +419,7 @@ def trace_invert(
                     )
                     hit = (predictor.query(ctx), True)
                 else:
-                    hit = (rng.randrange(q), False)
+                    hit = (random_below(q, 1, rng)[0], False)
                 answered[x] = hit
             stats["invertible_queries" if hit[1] else "singular_queries"] += 1
             return hit[0]

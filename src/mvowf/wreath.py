@@ -156,6 +156,9 @@ def make_hidden_shift(key: OwfKey, m: Matrix) -> HiddenShiftInstance:
     )
 
 
+_NEW = object()
+
+
 @dataclass(frozen=True)
 class HspInstance:
     """Oracle constant exactly on right cosets of the order-2 subgroup."""
@@ -188,28 +191,34 @@ def verify_hsp_promise(inst: HspInstance, n: int, q: int) -> bool:
 
     Equivalent to the all-pairs comparison: grouping elements by value, the
     promise holds exactly when every value class is one right coset {x, x*a}.
-    Each block of x*a is g*a1 or g*a2 for a block g of GL_n; row i of g*a is
-    (row i of g)*a, read off one row_image_table of the columns of a per
-    block of a.
+    A class is keyed by the plain vector tuples of its two images and keeps
+    only its first member x: the second is checked against x*a when it
+    arrives, a third fails at once, and a class left with one member fails
+    at the end.  Each block of x*a is g*a1 or g*a2 for a block g of GL_n;
+    row i of g*a is (row i of g)*a, read off one row_image_table of the
+    columns of a per block of a.
     """
     order = 2 * gl_order(n, q) ** 2
     if order > enumeration_cap():
         raise ValueError(f"group order {order} too large for exhaustive check")
     _, alpha = inst.subgroup
-    classes: dict = {}
-    for x in enumerate_wreath(n, q):
-        classes.setdefault(inst.f(x), []).append(x)
     # times[i][r] = r * (block i of alpha), for every row r of F_q^n
     times = [row_image_table(transpose(a), q).__getitem__ for a in (alpha.g1, alpha.g2)]
-    for members in classes.values():
-        if len(members) != 2:
-            return False
-        x, y = members
+    first: dict = {}  # value -> the class's first member, or None once it has two
+    for y in enumerate_wreath(n, q):
+        f1, f2 = inst.f(y)
+        value = (f1.vectors, f2.vectors)
+        x = first.get(value, _NEW)
+        if x is _NEW:
+            first[value] = y
+            continue
         # x*a as in wreath_mul: x.swap = 1 crosses a's blocks
         if (
-            y.swap != x.swap ^ alpha.swap
+            x is None
+            or y.swap != x.swap ^ alpha.swap
             or y.g1 != tuple(map(times[x.swap], x.g1))
             or y.g2 != tuple(map(times[1 ^ x.swap], x.g2))
         ):
             return False
-    return True
+        first[value] = None
+    return all(x is None for x in first.values())

@@ -44,6 +44,7 @@ from mvowf.field import (
     mat_vec,
     mat_vecs,
     rank,
+    random_below,
     random_invertible,
     random_invertible_mapping,
     random_matrix,
@@ -53,6 +54,7 @@ from mvowf.field import (
     transpose,
     validate_modulus,
 )
+from mvowf.owf import keygen
 
 
 def test_inner_product_examples():
@@ -305,6 +307,66 @@ def test_random_invertible_mapping_matches_reference(case):
         u, w, q, slow
     )
     assert fast.getstate() == slow.getstate()
+
+
+# -- the sampler against Random.randrange -------------------------------------
+
+
+@given(
+    st.one_of(st.sampled_from([1, 2, 3, 5]), st.integers(1, 300)),
+    st.integers(0, 40),
+    st.integers(0, 2**64),
+)
+def test_random_below_matches_randrange(bound, count, seed):
+    """Equal values, and equal rng states after, for every bound (1 too,
+    whose draws still use words) and count."""
+    fast, slow = Random(seed), Random(seed)
+    assert random_below(bound, count, fast) == tuple(slow.randrange(bound) for _ in range(count))
+    assert fast.getstate() == slow.getstate()
+
+
+def _randrange_vector(n, q, rng):
+    return tuple(rng.randrange(q) for _ in range(n))
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 5), st.integers(0, 2**64))
+@settings(max_examples=60)
+def test_draws_match_randrange_copies(q, n, seed):
+    """keygen, random_matrix and random_invertible draw what copies of
+    them through randrange draw, and leave the rng in the same state."""
+    fast, slow = Random(seed), Random(seed)
+    key = keygen(q, max(n, 2), delta=3, rng=fast)
+    assert key.vectors == tuple(_randrange_vector(key.n, q, slow) for _ in range(key.m))
+    assert random_matrix(n, q, fast) == tuple(_randrange_vector(n, q, slow) for _ in range(n))
+    m = random_invertible(n, q, fast)
+    while True:
+        expected = tuple(_randrange_vector(n, q, slow) for _ in range(n))
+        if reference_rank(expected, q) == n:
+            break
+    assert m == expected
+    assert fast.getstate() == slow.getstate()
+
+
+# -- the one-vector solve ------------------------------------------------------
+
+
+@pytest.mark.parametrize("q, n", [(2, 1), (2, 4), (2, 7), (3, 3), (5, 4), (251, 3)])
+def test_solve_vector_matches_inverse(q, n):
+    """M^-1 b, read off one single-right-hand-side solve."""
+    rng = Random(q * 10 + n)
+    for _ in range(60):
+        m, b = random_invertible(n, q, rng), random_vector(n, q, rng)
+        assert field._solve_vector(m, b, q) == mat_vec(reference_mat_inverse(m, q), b, q)
+
+
+def test_solve_vector_errors():
+    with pytest.raises(SingularMatrixError):
+        field._solve_vector(((1, 1), (1, 1)), (0, 1), 2)
+    with pytest.raises(SingularMatrixError):
+        field._solve_vector(((1, 2), (2, 1)), (1, 1), 3)
+    for q in (2, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            field._solve_vector(((1, 0), (0, 1)), (0, q), q)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

@@ -29,6 +29,7 @@ from mvowf.field import (
     mat_vec,
     mat_vecs,
     random_invertible,
+    random_invertible_mapping,
     random_vector,
     transpose,
 )
@@ -89,6 +90,47 @@ def test_predictor_memoization_and_counter():
     answers = {p.query("ctx") for _ in range(100)}
     assert len(answers) == 1
     assert p.query_count == 100
+
+
+@pytest.mark.parametrize("q, epsilon", [(2, 0.1), (2, 0.0), (3, 0.2), (5, 0.3)])
+def test_noisy_predictor_draws_as_randrange(q, epsilon):
+    """The answers, and the rng state after, of a copy drawing its wrong
+    answers through randrange (at q = 2, randrange(1), which uses words)."""
+    truth = lambda c: c * c % q
+    rng, noise = Random(q), Random(q)
+    p = make_noisy_predictor(truth, epsilon, q, rng)
+    for c in range(300):
+        value = truth(c)
+        if noise.random() >= 1 / q + epsilon:
+            value = (value + 1 + noise.randrange(q - 1)) % q
+        assert p.query(c) == value
+    assert rng.getstate() == noise.getstate()
+
+
+class _CountedHash:
+    hashes = 0
+
+    def __init__(self, key):
+        self.key = key
+
+    def __hash__(self):
+        _CountedHash.hashes += 1
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+def test_predictor_hashes_a_context_once_per_hit():
+    """Two hashes on a miss (look up, store), one on a hit."""
+    p = Predictor(lambda c: c.key % 2, 0.5, 2)
+    ctx = _CountedHash(3)
+    _CountedHash.hashes = 0
+    assert p.query(ctx) == 1
+    assert _CountedHash.hashes == 2
+    assert p.query(_CountedHash(3)) == 1
+    assert _CountedHash.hashes == 3
+    assert p.query_count == 2
 
 
 def test_wrong_answers_land_in_field():
@@ -179,6 +221,30 @@ def test_truths_match_implied_matrix(q, n, seed):
         ctx = BilinearContext(image=(), basis=(), left=lhs, right=rhs)
         for truth, reference in truths:
             assert truth(ctx) == reference(ctx)
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (2, 6), (3, 3), (5, 3)])
+def test_bilinear_truth_on_reduction_contexts(q, n):
+    """On contexts built as bilinear_invert builds them, the one-vector
+    solve gives <a, M' b> for the implied matrix M'."""
+    rng = Random(q * 100 + n)
+    m0 = random_invertible(n, q, rng)
+    a, b = (1,) + (0,) * (n - 1), random_vector(n, q, rng)
+    b = b if any(b) else a
+    truth = make_bilinear_truth(m0, a, b, q)
+    for _ in range(80):
+        x, y = random_vector(n, q, rng), random_vector(n, q, rng)
+        if not any(x) or not any(y):
+            continue
+        ctx = BilinearContext(
+            image=(),
+            basis=(),
+            left=transpose(random_invertible_mapping(a, x, q, rng)),
+            right=random_invertible_mapping(y, b, q, rng),
+        )
+        implied = ctx.implied_matrix(m0, q)
+        assert truth(ctx) == inner_product(a, mat_vec(implied, b, q), q)
+        assert truth(ctx) == inner_product(x, mat_vec(m0, y, q), q)
 
 
 # -- subspace adversary -------------------------------------------------------

@@ -273,10 +273,15 @@ SCANS = {
 
 
 def _coset_oracle(beta, q):
-    """An oracle whose value classes are the right cosets {x, x*b} of an involution b."""
+    """An oracle whose value classes are the right cosets {x, x*b} of an involution b.
+
+    Its values are pairs of OwfImage, as HspInstance.f's are: the first
+    holds the sorted coset, the second nothing.
+    """
 
     def f(x):
-        return tuple(sorted((y.g1, y.g2, y.swap) for y in (x, wreath_mul(x, beta, q))))
+        coset = tuple(sorted((y.g1, y.g2, y.swap) for y in (x, wreath_mul(x, beta, q))))
+        return OwfImage(coset), OwfImage(())
 
     return f
 
