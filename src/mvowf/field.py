@@ -530,10 +530,13 @@ def random_below(bound: int, count: int, rng: Random) -> tuple[int, ...]:
     makes the same calls without randrange's three Python frames around
     each, so the values and the rng state afterwards are those of count
     randrange calls.  Every mvowf rng is a random.Random (rng.make_rng,
-    rng.spawn_rng), whose randrange works this way in CPython 3.11-3.13; a
+    rng.spawn_rng), whose randrange works this way in CPython 3.10-3.13; a
     subclass that overrides random() and not getrandbits would draw
-    differently, and there is no path for it.
+    differently, and there is no path for it.  A bound below 1 raises
+    ValueError, as randrange does, unless count is 0.
     """
+    if bound < 1 and count > 0:
+        raise ValueError("empty range for randrange()")
     k = bound.bit_length()
     getrandbits = rng.getrandbits
     out = []

@@ -125,6 +125,22 @@ def test_directory_out_is_usage_error(tmp_path, capsys):
     assert out == "" and err.startswith("error: ") and "Is a directory" in err
 
 
+@pytest.mark.parametrize("q", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["keygen", "--n", "4", "--delta", "2"],
+        ["hsp-check", "--n", "2", "--delta", "1"],
+        ["hardcore-trace", "--n", "2", "--delta", "1"],
+        ["hardcore-bilinear", "--n", "3", "--delta", "2"],
+    ],
+)
+def test_empty_modulus_range_exits_2(command, q, capsys):
+    """A modulus below 1 fails at the first draw with exit 2, not a hang."""
+    assert run(command + ["--q", q, "--seed", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: empty range for randrange()\n")
+
+
 @pytest.mark.parametrize("q", ["1", "4", "6", "257"])
 def test_gi_solve_rejects_bad_modulus(q, tmp_path, capsys):
     graph_file = tmp_path / "g.txt"

@@ -325,6 +325,21 @@ def test_random_below_matches_randrange(bound, count, seed):
     assert fast.getstate() == slow.getstate()
 
 
+@pytest.mark.parametrize("bound", [0, -1, -5])
+def test_random_below_rejects_empty_range(bound):
+    """A bound below 1 raises ValueError, as randrange does, rather than
+    drawing forever; with nothing to draw it returns () and draws nothing."""
+    rng = Random(1)
+    with pytest.raises(ValueError):
+        Random(1).randrange(bound)
+    with pytest.raises(ValueError):
+        random_below(bound, 1, rng)
+    assert random_below(bound, 0, rng) == ()
+    assert rng.getstate() == Random(1).getstate()
+    with pytest.raises(ValueError):
+        keygen(bound, 4, delta=2, seed=1)
+
+
 def _randrange_vector(n, q, rng):
     return tuple(rng.randrange(q) for _ in range(n))
 

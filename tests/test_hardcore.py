@@ -121,16 +121,16 @@ class _CountedHash:
         return self.key == other.key
 
 
-def test_predictor_hashes_a_context_once_per_hit():
-    """Two hashes on a miss (look up, store), one on a hit."""
+def test_predictor_hashes_a_context_twice_per_miss():
+    """Two hashes on a miss (look up, store), the common case, and one on a hit."""
     p = Predictor(lambda c: c.key % 2, 0.5, 2)
-    ctx = _CountedHash(3)
     _CountedHash.hashes = 0
-    assert p.query(ctx) == 1
-    assert _CountedHash.hashes == 2
+    for key in range(5):
+        assert p.query(_CountedHash(key)) == key % 2
+    assert _CountedHash.hashes == 2 * 5
     assert p.query(_CountedHash(3)) == 1
-    assert _CountedHash.hashes == 3
-    assert p.query_count == 2
+    assert _CountedHash.hashes == 2 * 5 + 1
+    assert p.query_count == 6
 
 
 def test_wrong_answers_land_in_field():
