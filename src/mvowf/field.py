@@ -7,28 +7,30 @@ lexicographic order (index 0 most significant) used for canonical images.
 Matrix-vector products have one kernel, `mat_vecs`, which does the
 per-matrix work once for a whole batch of vectors; `_times` packs M and
 returns the product, which the coset sampler keeps per basis.  For q = 2
-each row of M is an int whose bit j is column j, and coordinate i of M v is
-the parity of popcount(row_i & v).  For q > 2 column j of M is one int
-holding M[i][j] in lane i, each lane w = (n (q-1)^2).bit_length() bits wide
-for an M with n columns; M v is the sum of v_j times column j, and since no
-lane can exceed n (q-1)^2 no lane carries into the next, so coordinate i is
-lane i mod q.
+each row of M and each v is an int in the row format of `Echelon` below
+(the rows of M packed and range-checked by `_pack_bits`), and coordinate i
+of M v is the parity of popcount(row_i & v).  For q > 2 column j of M is one
+int holding M[i][j] in lane i, each lane w = (n (q-1)^2).bit_length() bits
+wide for an M with n columns; M v is the sum of v_j times column j, and
+since no lane can exceed n (q-1)^2 no lane carries into the next, so
+coordinate i is lane i mod q.
 
 `Echelon` is the one elimination: `push` reduces a row against the pivots so
 far and records it as a new pivot unless it is dependent, and `pop` undoes
 the latest push.  It runs under every routine that eliminates: `rank`,
 `solve_linear` (and `mat_inverse`, which solves for the unit vectors),
-`_solve_vector` (one right hand side, by `Echelon.back_substitute`),
-`solve_linear_invertible`, `complete_basis`, `enumerate_invertible` and the
-matching search (`owf.iter_matchings`).  A row may carry `extra`
-coordinates after its n head coordinates, the right hand side of an
-augmented system: pivots lie in the head only, and a row counts as
-dependent when its head reduces to zero.  At q = 2 a row is one int with
-coordinate 0 at the top bit, so XOR is the row operation and a pivot's top
-bit is its column; at q > 2 a row is a tuple, and each pivot is normalised
-to 1 at its column.  Either way packed rows compare like the vectors they
-pack (index 0 most significant), so a row's head is zero exactly when the
-row lies below `Echelon.bound`.
+`_solve_vector`, `solve_linear_invertible`, `complete_basis`,
+`enumerate_invertible` and the matching search (`owf.iter_matchings`).
+Every solve reads its answer off the pivots by one back substitution,
+`Echelon.back_substitute`.  A row may carry `extra` coordinates after its n
+head coordinates, the right hand side of an augmented system: pivots lie in
+the head only, and a row counts as dependent when its head reduces to zero.
+At q = 2 a row is one int with coordinate 0 at the top bit (`_pack_bits`),
+so XOR is the row operation and a pivot's top bit is its column; at q > 2
+a row is a tuple, and each pivot is normalised to 1 at its column.  Either
+way packed rows compare like the vectors they pack (index 0 most
+significant), so a row's head is zero exactly when the row lies below
+`Echelon.bound`.
 
 Every routine that reads entries (`Echelon.pack`, and so `rank`,
 `mat_inverse` and `solve_linear`, and `check_entries`) rejects one outside
@@ -156,8 +158,8 @@ def _times(m: Matrix, q: int) -> Callable[[Sequence[Vector]], list[Vector]]:
     """
     n = len(m[0])
     if q == 2:
-        rows = _pack_rows(m)
-        weights = [1 << j for j in range(n)]
+        rows = list(map(_pack_bits, m))
+        weights = [1 << j for j in reversed(range(n))]
 
         def times(vs: Sequence[Vector]) -> list[Vector]:
             return [
@@ -192,20 +194,14 @@ def mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
     return tuple(zip(*mat_vecs(a, tuple(zip(*b)), q)))
 
 
-# -- int-packed GF(2) rows: bit j of the int is column j --------------------
-
-
-def _pack_rows(m: Matrix) -> list[int]:
-    out = []
-    for row in m:
-        x = 0
-        for j, e in enumerate(row):
-            if e:
-                if e != 1:
-                    raise ValueError(f"entry {e!r} out of range for q = 2")
-                x |= 1 << j
-        out.append(x)
-    return out
+def _pack_bits(v: Vector) -> int:
+    """v over F_2 as an int, coordinate 0 at the top bit; ValueError on an entry outside {0, 1}."""
+    x = 0
+    for e in v:
+        if e != 0 and e != 1:
+            raise ValueError(f"entry {e!r} out of range for q = 2")
+        x = x << 1 | e
+    return x
 
 
 # -- rank, inverse and linear systems, each one Echelon ----------------------
@@ -265,7 +261,7 @@ def solve_linear(vs: Sequence[Vector], ws: Sequence[Vector], q: int) -> Matrix:
             raise NoSolutionError("inconsistent constraints")
     if len(rows) < rows.n:
         raise UnderdeterminedError(f"constraints span only {len(rows)} of {rows.n} dimensions")
-    return _solution(rows)
+    return rows.back_substitute()
 
 
 def _constraint_rows(vs: Sequence[Vector], ws: Sequence[Vector], q: int) -> tuple[Echelon, list]:
@@ -283,22 +279,6 @@ def _constraint_rows(vs: Sequence[Vector], ws: Sequence[Vector], q: int) -> tupl
     return rows, [rows.pack((*v, *w)) for v, w in zip(vs, ws)]
 
 
-def _solution(rows: Echelon) -> Matrix:
-    """The X with X v = w for every row (v | w) of rows, an Echelon(q, n, n) with n pivots.
-
-    A pivot is zero at the columns of the pivots pushed before it, and n
-    pivots fill every head column, so pushing them in reverse order onto a
-    fresh Echelon reduces each by the later ones to (e_c | X e_c), c its
-    own column: the tails are the columns of X.
-    """
-    n = rows.n
-    clean = Echelon(rows.q, n, n)
-    for row in reversed(rows.rows()):
-        clean.push(row)
-    cols = dict(zip(clean.columns(), map(rows.unpack, clean.rows())))
-    return tuple(zip(*[cols[j][n:] for j in range(n)]))
-
-
 def _solve_vector(m: Matrix, b: Vector, q: int) -> Vector:
     """The x with M x = b, for a square M; SingularMatrixError when rank M < n.
 
@@ -310,7 +290,7 @@ def _solve_vector(m: Matrix, b: Vector, q: int) -> Vector:
     packed = [rows.pack((*row, e)) for row, e in zip(m, b)]  # range-checks every entry
     if not all(map(rows.push, packed)):
         raise SingularMatrixError(f"matrix is singular over F_{q}")
-    return rows.back_substitute()
+    return rows.back_substitute()[0]
 
 
 # -- incremental echelon -----------------------------------------------------
@@ -402,21 +382,22 @@ class Echelon:
         """Pivot columns, in push order."""
         return [c for c, _ in self.pivots]
 
-    def back_substitute(self) -> Vector:
-        """With n pivots and one extra coordinate: the x with <v, x> = c for every row (v | c).
+    def back_substitute(self) -> Matrix:
+        """With n pivots and k extra coordinates: the k x n X with X v = w for every row (v | w).
 
-        A pivot is 1 at its column and 0 at the columns of the pivots pushed
-        before it, so in reverse push order each pivot's head meets only the
-        coordinates of x already found, and gives the one at its column.
+        Row i of X is the x with <v, x> = w_i.  A pivot is 1 at its column
+        and 0 at the columns of the pivots pushed before it, so in reverse
+        push order each pivot's head meets only the coordinates of x already
+        found, and gives the one at its column.
         """
-        x = [0] * self.n
-        for c, row in reversed(self.pivots):
-            x[c] = (row[-1] - sum(map(mul, row, x))) % self.q
-        return tuple(x)
-
-    def rows(self) -> list:
-        """Pivot rows, in push order."""
-        return [p for _, p in self.pivots]
+        n, q = self.n, self.q
+        out = []
+        for i in range(n, len(self.zero)):
+            x = [0] * n
+            for c, row in reversed(self.pivots):
+                x[c] = (row[i] - sum(map(mul, row, x))) % q
+            out.append(tuple(x))
+        return tuple(out)
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # the ASCII digits "0" and "1" to the bytes 0 and 1
@@ -433,13 +414,7 @@ class _PackedEchelon(Echelon):
         self.bound = 1 << extra
         self.zero = 0
 
-    def pack(self, v: Vector) -> int:
-        x = 0
-        for e in v:
-            if e != 0 and e != 1:
-                raise ValueError(f"entry {e!r} out of range for q = 2")
-            x = x << 1 | e
-        return x
+    pack = staticmethod(_pack_bits)
 
     def unpack(self, row: int) -> Vector:
         return tuple(format(row, f"0{self.width}b").encode().translate(_BITS))
@@ -470,17 +445,18 @@ class _PackedEchelon(Echelon):
     def columns(self) -> list[int]:
         return [self.width - top.bit_length() for _, top in self.pivots]
 
-    def back_substitute(self) -> Vector:
-        # x packed like a row, its tail bit 0: a pivot's head meets x in
-        # the parity of p & x, and its tail is its lowest bit
-        x = 0
-        for p, top in reversed(self.pivots):
-            if ((p & x).bit_count() ^ p) & 1:
-                x |= top
-        return self.unpack(x)[:-1]
-
-    def rows(self) -> list[int]:
-        return [p for p, _ in self.pivots]
+    def back_substitute(self) -> Matrix:
+        # each row x of X packed like a row, its tail bits 0: a pivot's head
+        # meets x in the parity of p & x, and w_i is bit s = k - 1 - i of p
+        n = self.n
+        out = []
+        for s in range(self.width - n - 1, -1, -1):
+            x = 0
+            for p, top in reversed(self.pivots):
+                if ((p & x).bit_count() ^ p >> s) & 1:
+                    x |= top
+            out.append(self.unpack(x)[:n])
+        return tuple(out)
 
 
 # -- sampling and enumeration ------------------------------------------------
@@ -518,7 +494,7 @@ def solve_linear_invertible(vs: Sequence[Vector], ws: Sequence[Vector], q: int) 
             if images.push(images.pack(y)):
                 rows.push(rows.pack(units[j] + y))
                 break
-    return _solution(rows)
+    return rows.back_substitute()
 
 
 def random_below(bound: int, count: int, rng: Random) -> tuple[int, ...]:

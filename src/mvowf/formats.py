@@ -140,6 +140,7 @@ def parse_graph(text: str) -> SimpleGraph:
     if len(lines) - 1 != n_edges:
         raise FormatError(f"header promises {n_edges} edges, file has {len(lines) - 1}")
     edges = []
+    seen = set()
     for ln_no, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 2:
@@ -153,8 +154,9 @@ def parse_graph(text: str) -> SimpleGraph:
         if not (0 <= u < n_vertices and 0 <= v < n_vertices):
             raise FormatError(f"line {ln_no}: vertex out of range")
         edge = (min(u, v), max(u, v))
-        if edge in edges:
+        if edge in seen:
             raise FormatError(f"line {ln_no}: duplicate edge {edge}")
+        seen.add(edge)
         edges.append(edge)
     return SimpleGraph.from_edges(n_vertices, edges)
 

@@ -543,6 +543,15 @@ def test_mat_vecs_empty_batch_and_mismatch():
             mat_mul(identity(2), identity(3), q)
 
 
+def test_mat_vecs_rejects_matrix_entries_out_of_range_at_q2():
+    # at q = 2 packing M's rows checks every entry; at q > 2 nothing is checked
+    for bad in ((1, 2), (0, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            mat_vecs((bad, (0, 1)), [(1, 0)], 2)
+        with pytest.raises(ValueError, match="out of range"):
+            mat_mul((bad, (0, 1)), identity(2), 2)
+
+
 # -- the incremental echelon --------------------------------------------------
 
 
@@ -564,6 +573,22 @@ def test_echelon_rank_and_undo(q, n, k, data):
         assert echelon.pivots == states.pop()
         if states:
             echelon.pop()
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 5), st.data())
+@settings(max_examples=200)
+def test_echelon_back_substitute_matches_reference(q, n, data):
+    """X with X v = w for every pushed row (v | w), for any k >= 1 carried coordinates."""
+    k = data.draw(st.integers(1, n + 1))
+    vs = data.draw(matrices(q, n, n))
+    assume(reference_rank(vs, q) == n)
+    ws = data.draw(matrices(q, n, k))
+    echelon = Echelon(q, n, k)
+    for v, w in zip(vs, ws):
+        assert echelon.push(echelon.pack(v + w))
+    # X (v_1 ... v_n) = (w_1 ... w_n), the v_i and w_i as columns
+    expected = reference_mat_mul(transpose(ws), reference_mat_inverse(transpose(vs), q), q)
+    assert echelon.back_substitute() == expected
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.data())
