@@ -41,7 +41,11 @@ Every F_q draw in mvowf goes through `random_below`, which makes the
 state after are those of randrange: `random_vector`, `random_matrix`,
 `random_invertible` and `random_invertible_mapping` here, and through them
 key generation, the projection families and the sampled decoder points;
-and the single draws of the hard-core reductions.
+and the single draws of the hard-core reductions.  Most draws are of
+single entries; `random_invertible_mapping` instead draws its stabilizer
+element as one index into (first row, GL_{n-1} table) pairs whenever that
+table has at most TABLE_BOUND elements, with no rejection of singular
+matrices.
 """
 
 from __future__ import annotations
@@ -576,30 +580,58 @@ def random_invertible_mapping(u: Vector, w: Vector, q: int, rng: Random) -> Matr
     P_w P_u^-1 composed with the uniform stabilizer element P_u T P_u^-1 of
     u, so A is uniform on the coset.  The products by P and by (P^-1)^T are
     cached per (u, q) (1024 entries) with their matrices packed, and A costs
-    two of them: one for the columns of P_w T, one for the rows of A.  Each
-    attempt draws the n (n - 1) entries of T's columns 2..n in one
-    random_below call, in the order n - 1 random_vector calls would, and is
-    tested through the block that decides its invertibility, a lookup in
+    two of them: one for the columns of P_w T, one for the rows of A.
+
+    T is invertible exactly when its lower-right (n-1) x (n-1) block is, and
+    its first row is free.  When GL_{n-1}(F_q) has at most TABLE_BOUND
+    elements (and n >= 2), T is one random_below(q^(n-1) |GL_{n-1}|) draw:
+    divmod by |GL_{n-1}| splits it into the index of T's first row after
+    e_1's entry 1, among the q^(n-1) vectors in lexicographic order, and the
+    index of an element of _gl_table(n - 1, q) whose rows are the block's
+    columns.  Transposing permutes GL_{n-1}, so every index gives a
+    different T and the draw is exactly uniform.  Otherwise (a larger group,
+    or n = 1, which draws nothing) each attempt draws the n (n - 1) entries
+    of T's columns 2..n in one random_below call, in the order n - 1
+    random_vector calls would, and is tested through the block, a lookup in
     is_invertible_cached.
     """
     if not any(u) or not any(w):
         raise ValueError("u and w must be nonzero")
     n = len(u)
-    size = n * (n - 1)
     _, p_u_inv_t = _basis_with_inverse_transpose(tuple(u), q)
     p_w, _ = _basis_with_inverse_transpose(tuple(w), q)
-    while True:
-        entries = random_below(q, size, rng)  # columns 2..n of T, one after another
-        # T's first column is e_1, so T is invertible exactly when its
-        # lower-right (n-1) x (n-1) block is; the entries after the first of
-        # each column are that block's columns, and a matrix is invertible
-        # with its transpose
-        if is_invertible_cached(tuple([entries[i + 1 : i + n] for i in range(0, size, n)]), q):
-            break
-    drawn = [entries[i : i + n] for i in range(0, size, n)]
-    # P_w T has columns P_w e_1 = w and the P_w d, so its rows are those
-    # columns zipped; row i of A is (P_u^-1)^T (row i of P_w T)
+    tables = _stabilizer_tables(n, q)
+    if tables is not None:
+        rows, blocks = tables
+        first, block = divmod(random_below(len(rows) * len(blocks), 1, rng)[0], len(blocks))
+        drawn = [(x, *col) for x, col in zip(rows[first], blocks[block])]
+    else:
+        size = n * (n - 1)
+        while True:
+            entries = random_below(q, size, rng)  # columns 2..n of T, one after another
+            # the entries after the first of each column are the block's
+            # columns, and a matrix is invertible with its transpose
+            if is_invertible_cached(tuple([entries[i + 1 : i + n] for i in range(0, size, n)]), q):
+                break
+        drawn = [entries[i : i + n] for i in range(0, size, n)]
+    # P_w T has columns P_w e_1 = w and the P_w d for the drawn columns d of
+    # T, so its rows are those columns zipped; row i of A is (P_u^-1)^T (row
+    # i of P_w T)
     return tuple(p_u_inv_t(list(zip(w, *p_w(drawn)))))
+
+
+@lru_cache(maxsize=None)
+def _stabilizer_tables(n: int, q: int) -> tuple[tuple[Vector, ...], tuple[Matrix, ...]] | None:
+    """The q^(n-1) vectors of F_q^(n-1) in lexicographic order and
+    _gl_table(n - 1, q), or None when n < 2 or GL_{n-1}(F_q) has more than
+    TABLE_BOUND elements.
+
+    The table is read directly, not through gl_elements, so the draws of
+    random_invertible_mapping do not depend on MVOWF_ENUM_CAP.
+    """
+    if n < 2 or gl_order(n - 1, q) > TABLE_BOUND:
+        return None
+    return tuple(enumerate_vectors(n - 1, q)), _gl_table(n - 1, q)
 
 
 def enumerate_vectors(n: int, q: int) -> Iterator[Vector]:

@@ -199,7 +199,8 @@ def estimate_advantage(
 # -- list decoding of noisy linear forms -------------------------------------
 
 # Elements of the largest array one block of _ranked's matrix products builds
-# (candidate forms times scoring points).
+# (candidate forms times scoring points), and of the largest score table
+# _exact_scores keeps.
 _BLOCK_ELEMENTS = 1 << 22
 
 # Largest domain q^k that gl_decode_exhaustive queries point by point
@@ -289,17 +290,22 @@ def gl_decode_exhaustive(
     F_q^k, each queried once in enumerate_vectors order: for an oracle that
     is a fixed function this finds exactly the forms above the threshold,
     with no sampling error, ignores `samples` and draws nothing from rng.
-    Larger domains are scored on `samples` uniform points, a desk-scale
-    stand-in for list decoding over larger fields.  Form number j is the k
-    base-q digits of j, most significant first, so the forms come in
-    lexicographic order without being listed; they come out by falling
-    agreement, ties in lexicographic order.
+    If also q^(2k) <= _BLOCK_ELEMENTS, the scores come from _exact_scores,
+    built once per (k, q), so a call makes no product.  Larger domains are
+    scored on `samples` uniform points, a desk-scale stand-in for list
+    decoding over larger fields.  Form number j is the k base-q digits of j,
+    most significant first, so the forms come in lexicographic order without
+    being listed; they come out by falling agreement, ties in lexicographic
+    order.
     """
     import numpy as np  # loaded by the decoders only, see _ranked
 
     if q**k > enumeration_cap():
         raise ValueError(f"q^k = {q**k} exceeds enumeration cap")
     if q**k <= _EXACT_DOMAIN:
+        if q ** (2 * k) <= _BLOCK_ELEMENTS:
+            points, forms, values = _exact_scores(k, q)
+            return _ranked(oracle, points, q, epsilon, q**k, forms.__getitem__, values)
         points = list(enumerate_vectors(k, q))
     elif samples < 1:
         raise ValueError(f"samples must be at least 1 when q^k > {_EXACT_DOMAIN}, got {samples}")
@@ -309,6 +315,26 @@ def gl_decode_exhaustive(
     return _ranked(oracle, points, q, epsilon, q**k, lambda j: j[:, None] // places % q)
 
 
+@functools.lru_cache(maxsize=None)
+def _exact_scores(k: int, q: int) -> tuple[list[Vector], np.ndarray, np.ndarray]:
+    """The q^k points of F_q^k in enumerate_vectors order, the same vectors
+    as a uint8 array of forms (row j is form j), and the uint8 array of
+    <form j, point i> mod q at [j, i].
+
+    One float32 product, exact as in _ranked; gl_decode_exhaustive asks for
+    it only when its q^(2k) entries fit in one of _ranked's blocks.
+    """
+    import numpy as np
+
+    points = list(enumerate_vectors(k, q))
+    forms = np.array(points, dtype=np.uint8).reshape(len(points), k)
+    values = forms.astype(np.float32) @ forms.T.astype(np.float32)
+    np.fmod(values, q, out=values)
+    values = values.astype(np.uint8)
+    forms.flags.writeable = values.flags.writeable = False  # shared by every call
+    return points, forms, values
+
+
 def _ranked(
     oracle: Callable[[Vector], int],
     points: list[Vector],
@@ -316,29 +342,35 @@ def _ranked(
     epsilon: float,
     count: int,
     forms: Callable[[np.ndarray], np.ndarray],
+    values: np.ndarray | None = None,
 ) -> list[Vector]:
     """The forms agreeing with the oracle on at least 1/q + epsilon/2 of points.
 
     forms(j) gives the candidate forms numbered by the index array j, as
     rows; there are `count` of them, numbered in lexicographic order.  The
-    oracle is asked at each point once, in order.  Each block of forms is
-    scored by one float32 product whose entries are at most k (q - 1)^2
-    < 2^24, so exact.  Forms come out by falling agreement, ties in
-    lexicographic order.  numpy is imported here and in the two decoders,
-    not with the module: the matching engine and the GL_n scans never use
-    it, and a process that runs only them saves the import (about 14 MB of
-    resident memory and 0.15 s of CPU with numpy 2.4).
+    oracle is asked at each point once, in order.  When `values` is given,
+    its entry [j, i] is <form j, point i> mod q and the answers are compared
+    with it once.  Otherwise each block of forms is scored by one float32
+    product whose entries are at most k (q - 1)^2 < 2^24, so exact.  Forms
+    come out by falling agreement, ties in lexicographic order.  numpy is
+    imported here and in the two decoders, not with the module: the
+    matching engine and the GL_n scans never use it, and a process that runs
+    only them saves the import (about 14 MB of resident memory and 0.15 s
+    of CPU with numpy 2.4).
     """
     import numpy as np
 
     answers = np.array([oracle(x) for x in points], dtype=np.int32)
-    pts = np.array(points, dtype=np.float32).T  # (k, len(points))
-    rows = max(1, _BLOCK_ELEMENTS // max(pts.shape))
-    hits = np.empty(count, dtype=np.int32)
-    for start in range(0, count, rows):
-        block = forms(np.arange(start, min(start + rows, count)))
-        values = (block.astype(np.float32) @ pts).astype(np.int32) % q
-        hits[start : start + rows] = (values == answers).sum(axis=1)
+    if values is not None:
+        hits = (values == answers).sum(axis=1, dtype=np.int32)
+    else:
+        pts = np.array(points, dtype=np.float32).T  # (k, len(points))
+        rows = max(1, _BLOCK_ELEMENTS // max(pts.shape))
+        hits = np.empty(count, dtype=np.int32)
+        for start in range(0, count, rows):
+            block = forms(np.arange(start, min(start + rows, count)))
+            scores = (block.astype(np.float32) @ pts).astype(np.int32) % q
+            hits[start : start + rows] = (scores == answers).sum(axis=1)
     kept = np.flatnonzero(hits / len(points) >= 1 / q + epsilon / 2)
     kept = kept[np.argsort(-hits[kept], kind="stable")]
     return list(map(tuple, forms(kept).tolist()))
@@ -464,9 +496,12 @@ def bilinear_invert(
     (<g, w>)_g, stopping at its first verified preimage.  The engine's
     nodes, summed over the combos, count as assignments_tried and stop the
     search at assignment_budget.  When q^n <= 2^12 each decode is exact,
-    every y queried once (see _decode).  Each new (x, y) costs two
-    random_invertible_mapping draws, and A * image and B * key are read off
-    two row-image tables (row_image_table; image and key) built per call.
+    every y queried once (see _decode) and scored from the memoised
+    _exact_scores when q^(2n) <= _BLOCK_ELEMENTS.  Each new (x, y) costs two
+    random_invertible_mapping draws, each one random_below call with no
+    rejection when GL_{n-1}(F_q) fits in a table, and A * image and B * key
+    are read off two row-image tables (row_image_table; image and key)
+    built per call.
     """
     n, q = key.n, key.q
     if not any(a) or not any(b):

@@ -11,9 +11,11 @@ from hypothesis import settings, strategies as st
 from mvowf.field import (
     NoSolutionError,
     SingularMatrixError,
+    TABLE_BOUND,
     UnderdeterminedError,
     enumerate_invertible,
     enumerate_vectors,
+    gl_order,
     inner_product,
     invertibility_probability,
     mat_vec,
@@ -281,20 +283,43 @@ def reference_random_invertible_mapping(u, w, q, rng):
 
     a0 = P_w P_u^-1 maps u to w, and s = P_u T P_u^-1 is a uniform
     stabilizer element of u, for T uniform in GL_n with first column e_1.
+    T's first row after the 1 is free and its lower-right block is
+    invertible.  When GL_{n-1}(F_q) has at most TABLE_BOUND elements (and
+    n >= 2), T is one randrange over the pairs (first row, block):
+    reference_stabilizer_parts lists both, and the index splits by divmod
+    by the number of blocks; each listed block's rows are T's block's
+    columns.  Otherwise T's columns 2..n are drawn entry by entry until T
+    has full rank.
     """
     n = len(u)
     p_u = reference_complete_basis([u], n, q)
     p_w = reference_complete_basis([w], n, q)
     p_u_inv = reference_mat_inverse(p_u, q)
     a0 = reference_mat_mul(p_w, p_u_inv, q)
-    while True:
-        cols = [tuple(1 if i == 0 else 0 for i in range(n))]
-        cols += [tuple(rng.randrange(q) for _ in range(n)) for _ in range(n - 1)]
+    e1 = tuple(1 if i == 0 else 0 for i in range(n))
+    if n > 1 and gl_order(n - 1, q) <= TABLE_BOUND:
+        vectors, blocks = reference_stabilizer_parts(n, q)
+        first, block = divmod(rng.randrange(len(vectors) * len(blocks)), len(blocks))
+        cols = [e1] + [(x, *row) for x, row in zip(vectors[first], blocks[block])]
         t = tuple(tuple(col[i] for col in cols) for i in range(n))
-        if reference_rank(t, q) == n:
-            break
+    else:
+        while True:
+            cols = [e1] + [tuple(rng.randrange(q) for _ in range(n)) for _ in range(n - 1)]
+            t = tuple(tuple(col[i] for col in cols) for i in range(n))
+            if reference_rank(t, q) == n:
+                break
     s = reference_mat_mul(reference_mat_mul(p_u, t, q), p_u_inv, q)
     return reference_mat_mul(a0, s, q)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_stabilizer_parts(n, q):
+    """The vectors of F_q^(n-1) and the invertible (n-1) x (n-1) matrices
+    (tuples of rows), each in lexicographic order, the matrices found by
+    reference_rank among all of them."""
+    vectors = list(itertools.product(range(q), repeat=n - 1))
+    matrices = itertools.product(vectors, repeat=n - 1)
+    return vectors, [m for m in matrices if reference_rank(m, q) == n - 1]
 
 
 # -- reference decoding: the Goldreich-Levin vote queries one _to_bits tuple

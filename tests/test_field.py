@@ -396,6 +396,70 @@ def test_random_invertible_mapping_at_n_1(q):
         assert fast.getstate() == slow.getstate() == before
 
 
+class _IndexRng:
+    """An rng whose getrandbits returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+        self.calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return next(self.values)
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (2, 4), (3, 3)])
+def test_random_invertible_mapping_indices_cover_the_coset(q, n):
+    """The q^(n-1) |GL_{n-1}| indices of the one draw give every A with A u = w
+    exactly once: distinct, invertible, mapping u to w, and as many as the
+    coset has elements, |GL_n| / (q^n - 1).  At n = 1 nothing is drawn."""
+    rng = Random(q * 10 + n)
+    size = q ** (n - 1) * gl_order(n - 1, q)
+    coset_size = gl_order(n, q) // (q**n - 1)
+    assert size == coset_size
+    for _ in range(2):
+        u = w = (0,) * n
+        while not any(u) or not any(w):
+            u, w = random_vector(n, q, rng), random_vector(n, q, rng)
+        stub = _IndexRng(range(size))
+        drawn = [random_invertible_mapping(u, w, q, stub) for _ in range(size)]
+        assert stub.calls == size
+        assert len(set(drawn)) == coset_size
+        for a in drawn:
+            assert mat_vec(a, u, q) == w and reference_rank(a, q) == n
+    # at n = 1 the coset is the one map w u^-1, and the rng is not called
+    stub = _IndexRng(())
+    assert random_invertible_mapping((1,), (q - 1,), q, stub) == ((q - 1,),)
+    assert stub.calls == 0
+
+
+def test_random_invertible_mapping_builds_no_table_above_the_bound(monkeypatch):
+    """GL_4(F_3), GL_3(F_5) and GL_5(F_2) exceed TABLE_BOUND: their draws
+    take the rejection loop, and no GL_n table is built for them."""
+    table = field._gl_table
+    oversized = []
+
+    def guarded(n, q):
+        if gl_order(n, q) > field.TABLE_BOUND:
+            oversized.append((n, q))
+            raise MemoryError(f"GL_{n}(F_{q}) table requested")
+        return table(n, q)
+
+    monkeypatch.setattr(field, "_gl_table", guarded)
+    field._stabilizer_tables.cache_clear()
+    before = table.cache_info()
+    rng = Random(7)
+    for q, n in [(3, 5), (5, 4), (2, 6)]:
+        assert gl_order(n - 1, q) > field.TABLE_BOUND
+        u, w = identity(n)[0], (1,) * n
+        for _ in range(3):
+            a = random_invertible_mapping(u, w, q, rng)
+            assert mat_vec(a, u, q) == w and is_invertible(a, q)
+    after = table.cache_info()
+    assert oversized == []
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
 def test_enumerate_invertible_counts():
     assert sum(1 for _ in enumerate_invertible(1, 3)) == 2
     assert sum(1 for _ in enumerate_invertible(2, 3)) == 48

@@ -20,6 +20,7 @@ from conftest import (
 from mvowf import hardcore
 from mvowf.field import (
     enumerate_invertible,
+    enumerate_vectors,
     gl_order,
     identity,
     inner_product,
@@ -578,6 +579,49 @@ def test_exact_decode_at_the_domain_cap():
     calls.clear()
     gl_decode_exhaustive(oracle, 13, 2, 0.9, 50, Random(43))
     assert len(calls) == 50
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_decode_inputs())
+def test_exact_scores_match_the_blocked_product(inputs):
+    """The memoised scores and the blocked product give the same list in the
+    same order, from the same oracle calls.  A block budget below q^(2k)
+    forces the product."""
+    q, k, h, p_right, epsilon, noise_seed, block_rows, _ = inputs
+    noise = Random(noise_seed)
+    table = {}
+    for x in enumerate_vectors(k, q):
+        value = sum(a * b for a, b in zip(h, x)) % q
+        if noise.random() >= p_right:
+            value = (value + 1 + noise.randrange(q - 1)) % q
+        table[x] = value
+    calls, blocked_calls = [], []
+    memoised = gl_decode_exhaustive(
+        lambda x: calls.append(x) or table[x], k, q, epsilon, 0, Random(1)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hardcore, "_BLOCK_ELEMENTS", min(block_rows, q**k - 1) * q**k)
+        mp.setattr(hardcore, "_exact_scores", None)  # the product path must not ask for it
+        blocked = gl_decode_exhaustive(
+            lambda x: blocked_calls.append(x) or table[x], k, q, epsilon, 0, Random(1)
+        )
+    assert memoised == blocked
+    assert calls == blocked_calls == list(table)
+
+
+def test_exact_scores_are_built_once_per_domain():
+    """Repeated exact decodes of one (k, q) build its scores once; q = 2,
+    k = 12, whose 2^24 scores exceed one block, never builds them."""
+    hardcore._exact_scores.cache_clear()
+    oracle = linear_oracle((1, 2, 0, 1), 3)
+    for seed in range(3):
+        assert gl_decode_exhaustive(oracle, 4, 3, 0.6, 0, Random(seed)) == [(1, 2, 0, 1)]
+    assert gl_decode_exhaustive(linear_oracle((1, 0)), 2, 2, 0.9, 0, Random(0)) == [(1, 0)]
+    info = hardcore._exact_scores.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    h = tuple(i % 2 for i in range(12))
+    assert gl_decode_exhaustive(linear_oracle(h), 12, 2, 0.9, 0, Random(0)) == [h]
+    assert hardcore._exact_scores.cache_info().misses == 2
 
 
 # -- reductions ---------------------------------------------------------------
