@@ -675,8 +675,12 @@ def _stream_invertible(n: int, q: int) -> Iterator[Matrix]:
 
     The first n - 1 rows are pushed onto one Echelon as the prefix grows and
     popped on the way back; a last row is only reduced against them and
-    kept when its reduction is nonzero.
+    kept when its reduction is nonzero.  GL_0(F_q) is the trivial group,
+    whose one element is the empty matrix ().
     """
+    if n == 0:
+        yield ()
+        return
     all_rows = list(enumerate_vectors(n, q))
     echelon = Echelon(q, n)
     packed = [echelon.pack(row) for row in all_rows]

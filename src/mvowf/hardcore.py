@@ -222,15 +222,18 @@ def goldreich_levin_f2(
     """Linear forms over F_2^k agreeing with the oracle on a 1/2 + epsilon fraction.
 
     Classic list decoder: t reference points with guessed values, one
-    majority vote per coordinate over the 2^t - 1 pairwise independent
-    subset sums.  The votes of all 2^t guesses at once are one in-place
-    Walsh-Hadamard transform of the +-1 votes (Goldreich-Levin 1989,
-    Kushilevitz-Mansour 1993): afterwards entry b of coordinate i is
-    2^t - 1 - 2 * (subsets voting h_i = 1 under guess b), which is odd, so
-    the majority has no ties.  Any form with the stated agreement lands in
-    the output with probability at least `confidence`; survivors are
-    re-checked against fresh samples and kept above agreement
-    1/2 + epsilon/2, by falling agreement, ties in lexicographic order.
+    majority vote per coordinate over N pairwise independent subset sums,
+    those of masks 1..N, where N is the smallest odd integer at least
+    k (1 - 4 epsilon^2) / (4 epsilon^2 delta), capped at 2^t - 1, and
+    delta = 1 - confidence.  The votes of all 2^t guesses at once are one
+    in-place Walsh-Hadamard transform of the +-1 votes, the unused masks
+    left at 0 (Goldreich-Levin 1989, Kushilevitz-Mansour 1993): afterwards
+    entry b of coordinate i is N - 2 * (subsets voting h_i = 1 under
+    guess b), which is odd, so the majority has no ties.  Any form with the
+    stated agreement lands in the output with probability at least
+    `confidence`; survivors are re-checked against fresh samples and kept
+    above agreement 1/2 + epsilon/2, by falling agreement, ties in
+    lexicographic order.  epsilon must lie in (0, 1/2].
     """
     import numpy as np  # loaded by the decoders only, see _ranked
 
@@ -238,24 +241,31 @@ def goldreich_levin_f2(
         raise ValueError("decode dimension capped at 400")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if epsilon > 0.5:
+        raise ValueError("epsilon must be at most 1/2: agreement cannot exceed 1")
     delta = max(1e-9, 1.0 - confidence)
-    # per-coordinate majority failure <= 1/(4 N eps^2) by Chebyshev over
-    # pairwise independent votes; union over k coordinates
-    needed = k / (4 * epsilon * epsilon * delta)
-    t = min(16, max(1, math.ceil(math.log2(needed + 1))))
+    eps2 = epsilon * epsilon
+    # 2^t guesses: references for k / (4 eps^2 delta) subset sums
+    t = min(16, max(1, math.ceil(math.log2(k / (4 * eps2 * delta) + 1))))
+    # each vote is right with probability p >= 1/2 + eps, so by Chebyshev
+    # over pairwise independent votes a majority of N fails with probability
+    # at most p(1 - p) / (N (p - 1/2)^2) <= (1 - 4 eps^2) / (4 N eps^2);
+    # a union over k coordinates needs N = votes >= needed
+    needed = k * max(0.0, 1 - 4 * eps2) / (4 * eps2 * delta)
+    votes = min(2**t - 1, math.ceil(needed) | 1)
 
     refs = [rng.getrandbits(k) for _ in range(t)]
     # sums[mask - 1] = bits of the XOR of the refs the mask selects, all
     # subset sums in one product (entries at most t <= 16, so exact)
-    mask_bits = np.arange(1, 2**t)[:, None] >> np.arange(t) & 1
+    mask_bits = np.arange(1, votes + 1)[:, None] >> np.arange(t) & 1
     ref_bits = np.array([_to_bits(r, k) for r in refs], dtype=np.int64)
     sums = ((mask_bits @ ref_bits) & 1).astype(np.uint8)
 
-    # signs[i, mask] = 1 - 2 * vote on h_i; mask 0 casts no vote
+    # signs[i, mask] = 1 - 2 * vote on h_i; mask 0 and masks above N cast none
     signs = np.zeros((k, 2**t), dtype=np.int32)
     for i in range(k):
         sums[:, i] ^= 1  # e_i + each subset sum, in mask order
-        signs[i, 1:] = [1 - 2 * oracle(x) for x in map(tuple, sums.tolist())]
+        signs[i, 1 : votes + 1] = [1 - 2 * oracle(x) for x in map(tuple, sums.tolist())]
         sums[:, i] ^= 1
     for j in range(t):
         pairs = signs.reshape(k, -1, 2, 1 << j)
@@ -270,7 +280,7 @@ def goldreich_levin_f2(
     # candidates.
     n_check = max(
         64,
-        math.ceil(2 * math.log(2 * max(len(candidates), 2) / delta) / (epsilon * epsilon)),
+        math.ceil(2 * math.log(2 * max(len(candidates), 2) / delta) / eps2),
     )
     points = [_to_bits(rng.getrandbits(k), k) for _ in range(n_check)]
     return _ranked(oracle, points, 2, epsilon, len(candidates), candidates.__getitem__)

@@ -326,18 +326,31 @@ def reference_stabilizer_parts(n, q):
 # at a time, and exact scoring of every form by counting its agreements
 
 
+def reference_gl_sizes(k, epsilon, confidence=0.9):
+    """(t, N): the reference points and the votes per coordinate of
+    goldreich_levin_f2.
+
+    2^t - 1 >= k / (4 epsilon^2 delta) sizes the guesses; N is the smallest
+    odd integer at least k (1 - 4 epsilon^2) / (4 epsilon^2 delta), the
+    Chebyshev bound for votes right with probability 1/2 + epsilon, capped
+    at 2^t - 1.
+    """
+    delta = max(1e-9, 1.0 - confidence)
+    t = min(16, max(1, math.ceil(math.log2(k / (4 * epsilon * epsilon * delta) + 1))))
+    needed = k * max(0.0, 1 - 4 * epsilon * epsilon) / (4 * epsilon * epsilon * delta)
+    return t, min(2**t - 1, 2 * math.ceil((needed - 1) / 2) + 1)
+
+
 def reference_gl_vote_queries(k, epsilon, rng, confidence=0.9):
     """The vote-loop query points of goldreich_levin_f2, in call order.
 
     Draws the t reference points from rng as the decoder does; then for each
-    coordinate i and each nonempty subset mask of them, e_i plus the subset
-    sum, with bit j of an int at position j.
+    coordinate i and each subset mask 1..N of them, e_i plus the subset sum,
+    with bit j of an int at position j.
     """
-    delta = max(1e-9, 1.0 - confidence)
-    needed = k / (4 * epsilon * epsilon * delta)
-    t = min(16, max(1, math.ceil(math.log2(needed + 1))))
+    t, n_votes = reference_gl_sizes(k, epsilon, confidence)
     refs = [rng.getrandbits(k) for _ in range(t)]
-    sums = [0] * 2**t
+    sums = [0] * (n_votes + 1)
     for mask in range(1, len(sums)):
         low = mask & -mask
         sums[mask] = sums[mask ^ low] ^ refs[low.bit_length() - 1]
@@ -389,50 +402,65 @@ def reference_agreements(candidates, points, answers, q):
     ]
 
 
-def reference_goldreich_levin_f2(oracle, k, epsilon, rng, confidence=0.9):
-    """goldreich_levin_f2 with guesses from a correlation matrix.
+def reference_gl_candidates(votes, t):
+    """The distinct majority forms of all 2^t guesses, from a (k, N) array of
+    0/1 votes cast on subset masks 1..N.
 
-    Queries the same points in the same order and draws the same values
-    from rng.  ones[i, b], the subsets voting h_i = 1 under guess b, comes
-    from a float32 product of the votes with parity(b & mask), built from a
-    parity table in chunks of guesses; the survivors are re-checked by
-    reference_agreements.
+    ones[i, b], the subsets voting h_i = 1 under guess b, comes from a
+    float32 product of the votes with parity(b & mask), built from a parity
+    table in chunks of guesses.
     """
-    if k > 400:
-        raise ValueError("decode dimension capped at 400")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    delta = max(1e-9, 1.0 - confidence)
-    needed = k / (4 * epsilon * epsilon * delta)
-    t = min(16, max(1, math.ceil(math.log2(needed + 1))))
-    nsub = 2**t - 1
-
-    refs = [rng.getrandbits(k) for _ in range(t)]
-    masks = np.arange(1, nsub + 1, dtype=np.uint16)
-    mask_bits = (masks[:, None] >> np.arange(t)) & 1
-    ref_bits = np.array([[(r >> i) & 1 for i in range(k)] for r in refs], dtype=np.int64)
-    sums = ((mask_bits @ ref_bits) & 1).astype(np.uint8)
-    votes = np.empty((k, nsub), dtype=np.float32)
-    for i in range(k):
-        sums[:, i] ^= 1
-        votes[i] = [oracle(x) for x in map(tuple, sums.tolist())]
-        sums[:, i] ^= 1
-
+    n_votes = votes.shape[1]
+    votes = votes.astype(np.float32)
+    masks = np.arange(1, n_votes + 1, dtype=np.uint16)
     parity = np.array([x.bit_count() & 1 for x in range(2**t)], dtype=np.uint8)
     vote_totals = votes.sum(axis=1)
     candidates = set()
-    chunk = max(1, (1 << 22) // nsub)
+    chunk = max(1, (1 << 22) // n_votes)
     for start in range(0, 2**t, chunk):
         guesses = np.arange(start, min(start + chunk, 2**t), dtype=np.uint16)
         corr = parity[guesses[:, None] & masks[None, :]].astype(np.float32)
         ones = vote_totals[:, None] + corr.sum(axis=1)[None, :] - 2.0 * (votes @ corr.T)
-        hbits = (ones > nsub / 2.0).astype(np.uint8)
+        hbits = (ones > n_votes / 2.0).astype(np.uint8)
         candidates.update(map(tuple, np.unique(hbits.T, axis=0).tolist()))
+    return candidates
 
-    n_check = max(
+
+def reference_gl_check_points(n_candidates, epsilon, confidence=0.9):
+    """How many fresh points goldreich_levin_f2 re-checks n_candidates on."""
+    delta = max(1e-9, 1.0 - confidence)
+    return max(
         64,
-        math.ceil(2 * math.log(2 * max(len(candidates), 2) / delta) / (epsilon * epsilon)),
+        math.ceil(2 * math.log(2 * max(n_candidates, 2) / delta) / (epsilon * epsilon)),
     )
+
+
+def reference_goldreich_levin_f2(oracle, k, epsilon, rng, confidence=0.9):
+    """goldreich_levin_f2 with guesses from a correlation matrix.
+
+    Queries the same points in the same order and draws the same values
+    from rng.  The guesses' forms come from reference_gl_candidates; the
+    survivors are re-checked by reference_agreements.
+    """
+    if k > 400:
+        raise ValueError("decode dimension capped at 400")
+    if not 0 < epsilon <= 0.5:
+        raise ValueError("epsilon must lie in (0, 1/2]")
+    t, n_votes = reference_gl_sizes(k, epsilon, confidence)
+
+    refs = [rng.getrandbits(k) for _ in range(t)]
+    masks = np.arange(1, n_votes + 1, dtype=np.uint16)
+    mask_bits = (masks[:, None] >> np.arange(t)) & 1
+    ref_bits = np.array([[(r >> i) & 1 for i in range(k)] for r in refs], dtype=np.int64)
+    sums = ((mask_bits @ ref_bits) & 1).astype(np.uint8)
+    votes = np.empty((k, n_votes), dtype=np.uint8)
+    for i in range(k):
+        sums[:, i] ^= 1
+        votes[i] = [oracle(x) for x in map(tuple, sums.tolist())]
+        sums[:, i] ^= 1
+    candidates = reference_gl_candidates(votes, t)
+
+    n_check = reference_gl_check_points(len(candidates), epsilon, confidence)
     draws = [rng.getrandbits(k) for _ in range(n_check)]
     points = [tuple((x >> i) & 1 for i in range(k)) for x in draws]
     answers = [oracle(x) for x in points]

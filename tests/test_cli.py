@@ -246,9 +246,9 @@ def test_hardcore_bilinear_cli(capsys):
     [
         (
             ["hardcore-trace", "--q", "2", "--n", "4", "--seed", "1"],
-            '{\n  "candidates": 1,\n  "epsilon": 0.5,\n  "invertible_queries": 20473,\n'
-            '  "m": 24,\n  "matches_planted": true,\n  "n": 4,\n  "predictor_queries": 12735,\n'
-            '  "q": 2,\n  "recovered": true,\n  "rounds": 1,\n  "singular_queries": 46060\n}\n',
+            '{\n  "candidates": 1,\n  "epsilon": 0.5,\n  "invertible_queries": 15612,\n'
+            '  "m": 24,\n  "matches_planted": true,\n  "n": 4,\n  "predictor_queries": 10898,\n'
+            '  "q": 2,\n  "recovered": true,\n  "rounds": 1,\n  "singular_queries": 34408\n}\n',
         ),
         (
             ["hardcore-trace", "--q", "3", "--n", "3", "--seed", "1"],

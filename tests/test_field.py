@@ -467,6 +467,19 @@ def test_enumerate_invertible_counts():
         assert sum(1 for _ in enumerate_invertible(n, q)) == gl_order(n, q)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_gl_elements_count_the_group_order(n, q):
+    """GL_0(F_q) is the trivial group: its one element is the empty matrix,
+    which is_invertible_cached accepts."""
+    elements = field.gl_elements(n, q)
+    assert len(elements) == gl_order(n, q)
+    assert list(enumerate_invertible(n, q)) == list(field._stream_invertible(n, q))
+    assert all(is_invertible_cached(m, q) for m in elements)
+    if n == 0:
+        assert list(elements) == [()]
+
+
 def test_enumerate_invertible_distinct_and_invertible():
     seen = set()
     for m in enumerate_invertible(2, 3):

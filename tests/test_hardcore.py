@@ -12,6 +12,9 @@ from conftest import (
     reference_bilinear_invert,
     reference_bilinear_truth,
     reference_exact_decode,
+    reference_gl_candidates,
+    reference_gl_check_points,
+    reference_gl_sizes,
     reference_gl_vote_queries,
     reference_goldreich_levin_f2,
     reference_trace_invert,
@@ -337,11 +340,14 @@ def test_gl_decode_noisy():
     assert wins >= 9
 
 
-@pytest.mark.parametrize("k, epsilon", [(1, 0.45), (5, 0.45), (20, 0.25), (70, 0.45)])
+@pytest.mark.parametrize(
+    "k, epsilon", [(1, 0.45), (5, 0.45), (20, 0.25), (70, 0.45), (16, 0.5)]
+)
 def test_gl_vote_queries_match_reference(k, epsilon):
-    """The oracle sees exactly the parent's vote-loop calls, in the same order.
+    """The oracle sees exactly the reference's vote-loop calls, in order.
 
-    k = 70 crosses 64 bits.  The queries are tuples of Python ints, so an
+    k = 70 crosses 64 bits; epsilon = 1/2 (a perfect oracle) casts one vote
+    per coordinate.  The queries are tuples of Python ints, so an
     oracle that hashes or compares them sees what it saw before.
     """
     calls = []
@@ -354,6 +360,54 @@ def test_gl_vote_queries_match_reference(k, epsilon):
     goldreich_levin_f2(recording, k, epsilon, Random(40 + k))
     assert calls[: len(expected)] == expected
     assert all(type(bit) is int for x in calls[: len(expected)] for bit in x)
+
+
+@pytest.mark.parametrize("k", [10, 12])
+@pytest.mark.parametrize("epsilon", [0.15, 0.25])
+def test_gl_decode_guarantee_at_worst_case(k, epsilon):
+    """A form with agreement exactly at the bound is found at the confidence.
+
+    The oracle is a fixed function wrong on floor((1/2 - epsilon) 2^k)
+    points, the least agreement the guarantee covers.  At confidence 0.9 the
+    planted form must be in the output on at least 36 of 40 decoder seeds.
+    The oracle draws from a separate stream: one seeded like the decoder's
+    would hand it check points from the very words that chose the wrong
+    points.  Each run asks k N vote queries, N odd and between the Chebyshev
+    bound and 2^t - 1, then re-checks on as many points as its candidate
+    count calls for.
+    """
+    confidence = 0.9
+    t, n_votes = reference_gl_sizes(k, epsilon, confidence)
+    needed = k * (1 - 4 * epsilon * epsilon) / (4 * epsilon * epsilon * (1 - confidence))
+    assert n_votes % 2 == 1 and needed <= n_votes <= 2**t - 1
+    points = [tuple((x >> j) & 1 for j in range(k)) for x in range(2**k)]
+    wins = 0
+    for seed in range(40):
+        r = Random(f"oracle-{seed}")
+        h = tuple(r.randrange(2) for _ in range(k))
+        wrong = set(r.sample(range(2**k), int((0.5 - epsilon) * 2**k)))
+        table = {x: (sum(map(mul, h, x)) + (i in wrong)) % 2 for i, x in enumerate(points)}
+        answers = []
+
+        def oracle(x):
+            answers.append(table[x])
+            return answers[-1]
+
+        wins += h in goldreich_levin_f2(oracle, k, epsilon, Random(seed), confidence)
+        votes = np.array(answers[: k * n_votes], dtype=np.uint8).reshape(k, n_votes)
+        n_candidates = len(reference_gl_candidates(votes, t))
+        n_check = reference_gl_check_points(n_candidates, epsilon, confidence)
+        assert len(answers) == k * n_votes + n_check
+    assert wins >= 36
+
+
+@pytest.mark.parametrize("epsilon", [0.5 + 1e-9, 0.75, 1.0])
+def test_gl_decode_rejects_epsilon_above_half(epsilon):
+    """Agreement 1/2 + epsilon above 1 is no promise; nothing is queried."""
+    calls = []
+    with pytest.raises(ValueError, match="epsilon must be at most 1/2"):
+        goldreich_levin_f2(calls.append, 8, epsilon, Random(0))
+    assert calls == []
 
 
 @st.composite
