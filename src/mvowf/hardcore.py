@@ -32,7 +32,7 @@ from .field import (
     mat_mul,
     mat_vec,
     mat_vecs,
-    rank,
+    rank,  # unused here; perfbench's tracer self-test rebinds hardcore.rank
     random_below,
     random_invertible_mapping,
     random_vector,
@@ -42,14 +42,15 @@ from .owf import BudgetExceededError, OwfImage, OwfKey, evaluate, iter_matchings
 from .permstats import projection_family_size, sample_projection_family
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BilinearContext:
     """What a predicate oracle sees: a transformed image and key basis.
 
     The transform fields record how the query was built (image = left * W,
     basis = right * V).  They are excluded from equality and hashing: a real
     adversary never sees them, and simulated ground-truth oracles use them to
-    answer as the information-theoretic predictor would.
+    answer as the information-theoretic predictor would.  Slotted, like
+    wreath.WreathElement: the reductions build one per predictor query.
     """
 
     image: tuple[Vector, ...]
@@ -103,10 +104,11 @@ def make_noisy_predictor(
     """
     if not 0 <= epsilon <= 1 - 1 / q:
         raise ValueError(f"epsilon must lie in [0, 1 - 1/{q}]")
+    agreement = 1 / q + epsilon
 
     def answer(context):
         value = truth(context)
-        if rng.random() < 1 / q + epsilon:
+        if rng.random() < agreement:
             return value
         return (value + 1 + random_below(q - 1, 1, rng)[0]) % q
 
@@ -118,15 +120,17 @@ def make_trace_truth(m0: Matrix, q: int) -> Callable[[BilinearContext], int]:
 
     With no right transform the preimage is L M0 (L the left transform, or
     the identity), and trace(L M0) is the sum over i of <row i of L,
-    column i of M0>: n inner products instead of a matrix product.  A
-    context with a right transform falls back to implied_matrix.
+    column i of M0>: n inner products instead of a matrix product, against
+    M0's columns chained once, when the oracle is made.  A context with a
+    right transform falls back to implied_matrix.
     """
-    cols = transpose(m0)
+    cols = tuple(itertools.chain(*transpose(m0)))
+    unit = identity(len(m0))
 
     def truth(ctx: BilinearContext) -> int:
         if ctx.right is None:
-            left = identity(len(m0)) if ctx.left is None else ctx.left
-            return sum(map(mul, itertools.chain(*left), itertools.chain(*cols))) % q
+            left = unit if ctx.left is None else ctx.left
+            return sum(map(mul, itertools.chain(*left), cols)) % q
         m = ctx.implied_matrix(m0, q)
         return sum(m[i][i] for i in range(len(m))) % q
 
@@ -224,14 +228,15 @@ def goldreich_levin_f2(
     Classic list decoder: t reference points with guessed values, one
     majority vote per coordinate over N pairwise independent subset sums,
     those of masks 1..N, where N is the smallest odd integer at least
-    k (1 - 4 epsilon^2) / (4 epsilon^2 delta), capped at 2^t - 1, and
-    delta = 1 - confidence.  The votes of all 2^t guesses at once are one
-    in-place Walsh-Hadamard transform of the +-1 votes, the unused masks
-    left at 0 (Goldreich-Levin 1989, Kushilevitz-Mansour 1993): afterwards
-    entry b of coordinate i is N - 2 * (subsets voting h_i = 1 under
-    guess b), which is odd, so the majority has no ties.  Any form with the
-    stated agreement lands in the output with probability at least
-    `confidence`; survivors are re-checked against fresh samples and kept
+    k (1 - 4 epsilon^2) / (4 epsilon^2 delta), delta = 1 - confidence, and
+    t = N.bit_length(), the fewest references that give N nonzero masks;
+    t is capped at 16 and N with it at 2^16 - 1.  The votes of all 2^t
+    guesses at once are one in-place Walsh-Hadamard transform of the +-1
+    votes, the unused masks left at 0 (Goldreich-Levin 1989,
+    Kushilevitz-Mansour 1993): afterwards entry b of coordinate i is
+    N - 2 * (subsets voting h_i = 1 under guess b), which is odd, so the
+    majority has no ties.  Any form with the stated agreement lands in the
+    output with probability at least `confidence`; survivors are re-checked against fresh samples and kept
     above agreement 1/2 + epsilon/2, by falling agreement, ties in
     lexicographic order.  epsilon must lie in (0, 1/2].
     """
@@ -239,20 +244,20 @@ def goldreich_levin_f2(
 
     if k > 400:
         raise ValueError("decode dimension capped at 400")
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN too
         raise ValueError("epsilon must be positive")
     if epsilon > 0.5:
         raise ValueError("epsilon must be at most 1/2: agreement cannot exceed 1")
     delta = max(1e-9, 1.0 - confidence)
     eps2 = epsilon * epsilon
-    # 2^t guesses: references for k / (4 eps^2 delta) subset sums
-    t = min(16, max(1, math.ceil(math.log2(k / (4 * eps2 * delta) + 1))))
     # each vote is right with probability p >= 1/2 + eps, so by Chebyshev
     # over pairwise independent votes a majority of N fails with probability
     # at most p(1 - p) / (N (p - 1/2)^2) <= (1 - 4 eps^2) / (4 N eps^2);
     # a union over k coordinates needs N = votes >= needed
-    needed = k * max(0.0, 1 - 4 * eps2) / (4 * eps2 * delta)
-    votes = min(2**t - 1, math.ceil(needed) | 1)
+    votes = math.ceil(k * max(0.0, 1 - 4 * eps2) / (4 * eps2 * delta)) | 1
+    # masks 1..N read only the first N.bit_length() references
+    t = min(16, votes.bit_length())
+    votes = min(2**t - 1, votes)
 
     refs = [rng.getrandbits(k) for _ in range(t)]
     # sums[mask - 1] = bits of the XOR of the refs the mask selects, all
@@ -370,7 +375,7 @@ def _ranked(
     """
     import numpy as np
 
-    answers = np.array([oracle(x) for x in points], dtype=np.int32)
+    answers = np.fromiter(map(oracle, points), dtype=np.int32, count=len(points))
     if values is not None:
         hits = (values == answers).sum(axis=1, dtype=np.int32)
     else:
@@ -406,6 +411,19 @@ def _decode(
 # -- the trace reduction ------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _query_matrix(x: Vector, n: int, q: int) -> Matrix | None:
+    """The n x n N with vec(N^T) = x (row i is x[i::n]) when N is invertible
+    over F_q, else None.
+
+    Memoised per (x, n, q) with the bound of field.is_invertible_cached, so a
+    point asked again in a later call costs one lookup; entries outside
+    [0, q) raise ValueError, and nothing is cached for them.
+    """
+    mat_n = tuple([x[i::n] for i in range(n)])
+    return mat_n if is_invertible_cached(mat_n, q) else None
+
+
 def trace_invert(
     key: OwfKey,
     image: OwfImage,
@@ -424,19 +442,20 @@ def trace_invert(
     invertible fraction alpha.  A single draw of those values yields a usable
     oracle only with constant probability (at n = 2 most of the domain is
     singular), so up to `rounds` fresh extensions are tried.  Each distinct
-    point is answered once: only its first query builds N, looks up whether
-    it is invertible (field.is_invertible_cached) and, if it is, asks the
-    predictor on N * image, read off one row_image_table of the image built
-    per call; that answer then serves every later round too, so the
+    point is answered once: only its first query looks up N, or None when N
+    is singular, in the memoised _query_matrix and, if N is invertible, asks
+    the predictor on N * image, read off one row_image_table of the image
+    built per call; that answer then serves every later round too, so the
     predictor sees at most |GL_n(F_q)| queries.
     When q^(n^2) <= 2^12 (n <= 3 at q = 2, n = 2 at q <= 7) each round
     decodes exactly: gl_decode_exhaustive queries every point once and keeps
     every form above 1/q + alpha epsilon / 2 on that round's extension (see
     _decode for larger domains).  The invertible and singular query counts
-    count every decoder query.  Candidates are verified through evaluate;
-    nothing unverified is returned.
+    count every decoder query.  Candidates are verified through evaluate,
+    after is_invertible_cached has passed them; nothing unverified is
+    returned.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN too
         raise ValueError("epsilon must be positive")
     n, q = key.n, key.q
     k = n * n
@@ -457,14 +476,10 @@ def trace_invert(
         def oracle(x: Vector) -> int:
             hit = answered.get(x)
             if hit is None:
-                mat_n = tuple([x[i::n] for i in range(n)])  # vec(N^T) = x
-                if is_invertible_cached(mat_n, q):
-                    ctx = BilinearContext(
-                        image=tuple(sorted(zip(*map(row_images, mat_n)))),
-                        basis=key.vectors,
-                        left=mat_n,
-                    )
-                    hit = (predictor.query(ctx), True)
+                mat_n = _query_matrix(x, n, q)
+                if mat_n is not None:
+                    image_n = tuple(sorted(zip(*map(row_images, mat_n))))
+                    hit = (predictor.query(BilinearContext(image_n, key.vectors, mat_n)), True)
                 else:
                     hit = (random_below(q, 1, rng)[0], False)
                 answered[x] = hit
@@ -476,7 +491,7 @@ def trace_invert(
 
         for h in candidates:
             m = tuple(tuple(h[i * n + j] for j in range(n)) for i in range(n))
-            if rank(m, q) == n and evaluate(key, m) == image:
+            if is_invertible_cached(m, q) and evaluate(key, m) == image:
                 return m
     return None
 
@@ -516,7 +531,7 @@ def bilinear_invert(
     n, q = key.n, key.q
     if not any(a) or not any(b):
         raise ValueError("predicate vectors a, b must be nonzero")
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN too
         raise ValueError("epsilon must be positive")
     stats = {} if stats is None else stats
     stats.update(t_queries=0, assignments_tried=0, budget_exhausted=False)
@@ -533,10 +548,10 @@ def bilinear_invert(
             a_mat = transpose(random_invertible_mapping(a, x, q, rng))
             b_mat = random_invertible_mapping(y, b, q, rng)
             ctx = BilinearContext(
-                image=tuple(sorted(zip(*map(image_rows, a_mat)))),
-                basis=tuple(zip(*map(key_rows, b_mat))),
-                left=a_mat,
-                right=b_mat,
+                tuple(sorted(zip(*map(image_rows, a_mat)))),
+                tuple(zip(*map(key_rows, b_mat))),
+                a_mat,
+                b_mat,
             )
             t_memo[(x, y)] = predictor.query(ctx)
         return t_memo[(x, y)]

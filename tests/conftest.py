@@ -330,15 +330,16 @@ def reference_gl_sizes(k, epsilon, confidence=0.9):
     """(t, N): the reference points and the votes per coordinate of
     goldreich_levin_f2.
 
-    2^t - 1 >= k / (4 epsilon^2 delta) sizes the guesses; N is the smallest
-    odd integer at least k (1 - 4 epsilon^2) / (4 epsilon^2 delta), the
-    Chebyshev bound for votes right with probability 1/2 + epsilon, capped
-    at 2^t - 1.
+    N is the smallest odd integer at least k (1 - 4 epsilon^2) /
+    (4 epsilon^2 delta), the Chebyshev bound for votes right with
+    probability 1/2 + epsilon; t is the least t with 2^t - 1 >= N, the
+    references masks 1..N read, capped at 16, and N is capped at 2^t - 1.
     """
     delta = max(1e-9, 1.0 - confidence)
-    t = min(16, max(1, math.ceil(math.log2(k / (4 * epsilon * epsilon * delta) + 1))))
     needed = k * max(0.0, 1 - 4 * epsilon * epsilon) / (4 * epsilon * epsilon * delta)
-    return t, min(2**t - 1, 2 * math.ceil((needed - 1) / 2) + 1)
+    n_votes = 2 * math.ceil((needed - 1) / 2) + 1
+    t = next(t for t in range(1, 17) if 2**t - 1 >= n_votes or t == 16)
+    return t, min(2**t - 1, n_votes)
 
 
 def reference_gl_vote_queries(k, epsilon, rng, confidence=0.9):

@@ -1,5 +1,6 @@
 """Predictor oracles, list decoding, and the two inversion reductions."""
 
+from dataclasses import FrozenInstanceError
 from operator import mul
 from random import Random
 
@@ -17,6 +18,7 @@ from conftest import (
     reference_gl_sizes,
     reference_gl_vote_queries,
     reference_goldreich_levin_f2,
+    reference_rank,
     reference_trace_invert,
     reference_trace_truth,
 )
@@ -163,6 +165,18 @@ def test_context_hash_ignores_provenance():
     c1 = BilinearContext(image=((0, 1),), basis=((1, 0),), left=identity(2))
     c2 = BilinearContext(image=((0, 1),), basis=((1, 0),), left=((1, 1), (0, 1)))
     assert c1 == c2 and hash(c1) == hash(c2)
+
+
+def test_context_is_slotted_and_ignores_transforms():
+    """No per-instance __dict__; equality and hashing read image and basis only."""
+    c1 = BilinearContext(((0, 1),), ((1, 0),), identity(2))
+    c2 = BilinearContext(((0, 1),), ((1, 0),), ((1, 1), (0, 1)), ((0, 1), (1, 0)))
+    assert not hasattr(c1, "__dict__") and not hasattr(c2, "__dict__")
+    assert c1 == c2 and hash(c1) == hash(c2)
+    assert c1 != BilinearContext(((1, 1),), ((1, 0),), identity(2))
+    assert c1 != BilinearContext(((0, 1),), ((0, 1),), identity(2))
+    with pytest.raises(FrozenInstanceError):
+        c1.left = None
 
 
 def test_implied_matrix():
@@ -408,6 +422,37 @@ def test_gl_decode_rejects_epsilon_above_half(epsilon):
     with pytest.raises(ValueError, match="epsilon must be at most 1/2"):
         goldreich_levin_f2(calls.append, 8, epsilon, Random(0))
     assert calls == []
+
+
+class _CountingRandom(Random):
+    """A Random that counts its getrandbits calls."""
+
+    draws = 0
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+
+def test_gl_draws_only_the_references_its_votes_read():
+    """At k = 20, eps = 0.45 the Chebyshev bound asks N = 47 votes, on masks
+    1..47, which read 6 references: exactly 6 are drawn before the first
+    query (k / (4 eps^2 delta) would size 8), and the re-check points after
+    the votes."""
+    k, epsilon = 20, 0.45
+    assert reference_gl_sizes(k, epsilon) == (6, 47)
+    rng = _CountingRandom(45)
+    draws_seen = []
+
+    def oracle(x):
+        draws_seen.append(rng.draws)
+        return x[3]
+
+    got = goldreich_levin_f2(oracle, k, epsilon, rng)
+    assert draws_seen[: k * 47] == [6] * (k * 47)
+    n_check = len(draws_seen) - k * 47
+    assert n_check >= 64 and draws_seen[k * 47 :] == [6 + n_check] * n_check
+    assert got[0] == tuple(int(i == 3) for i in range(k))
 
 
 @st.composite
@@ -681,6 +726,31 @@ def test_exact_scores_are_built_once_per_domain():
 # -- reductions ---------------------------------------------------------------
 
 
+@st.composite
+def query_points(draw):
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    return tuple(draw(st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n))), n, q
+
+
+@settings(max_examples=300)
+@given(query_points())
+def test_query_matrix_matches_reference_rank(inputs):
+    """The rows x[i::n] exactly when they make an invertible matrix, else
+    None, on the first call and from the memo alike."""
+    x, n, q = inputs
+    rows = tuple(tuple(x[i::n]) for i in range(n))
+    expected = rows if reference_rank(rows, q) == n else None
+    assert hardcore._query_matrix(x, n, q) == expected
+    assert hardcore._query_matrix(x, n, q) == expected
+
+
+def test_query_matrix_rejects_entries_outside_the_field():
+    for _ in range(2):  # nothing is memoised for a point out of range
+        with pytest.raises(ValueError):
+            hardcore._query_matrix((2, 0, 0, 1), 2, 2)
+
+
 def test_trace_invert_perfect_predictor():
     wins = 0
     for seed in range(8):
@@ -903,6 +973,20 @@ def test_reductions_reject_zero_epsilon():
     with pytest.raises(ValueError, match="epsilon must be positive"):
         bilinear_invert(key, image, predictor, a, b, 0.0, rng)
     assert predictor.query_count == 0
+
+
+def test_reductions_reject_nan_epsilon():
+    """NaN is no advantage: each entry point rejects it before any query or draw."""
+    key, image, predictor, a, b, _, rng = _bilinear_instance(2, 4, 4, 0.5, 1)
+    state = rng.getstate()
+    calls = []
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        trace_invert(key, image, predictor, float("nan"), rng)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        bilinear_invert(key, image, predictor, a, b, float("nan"), rng)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        goldreich_levin_f2(calls.append, 8, float("nan"), rng)
+    assert predictor.query_count == 0 and calls == [] and rng.getstate() == state
 
 
 def test_bilinear_invert_rejects_zero_predicate_vectors():
