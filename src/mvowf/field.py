@@ -6,14 +6,16 @@ lexicographic order (index 0 most significant) used for canonical images.
 
 Matrix-vector products have one kernel, `mat_vecs`, which does the
 per-matrix work once for a whole batch of vectors; `_times` packs M and
-returns the product, which the coset sampler keeps per basis.  For q = 2
-each row of M and each v is an int in the row format of `Echelon` below
-(the rows of M packed and range-checked by `_pack_bits`), and coordinate i
-of M v is the parity of popcount(row_i & v).  For q > 2 column j of M is one
-int holding M[i][j] in lane i, each lane w = (n (q-1)^2).bit_length() bits
-wide for an M with n columns; M v is the sum of v_j times column j, and
-since no lane can exceed n (q-1)^2 no lane carries into the next, so
-coordinate i is lane i mod q.
+returns the product, and `row_image_table` tabulates it for every vector
+of F_q^n.  The coset sampler keeps one of the two per basis: the table
+when F_q^n has at most _ROW_TABLE_BOUND vectors, else the packed product.
+For q = 2 each row of M and each v is an int in the row format of
+`Echelon` below (the rows of M packed and range-checked by `_pack_bits`),
+and coordinate i of M v is the parity of popcount(row_i & v).  For q > 2
+column j of M is one int holding M[i][j] in lane i, each lane
+w = (n (q-1)^2).bit_length() bits wide for an M with n columns; M v is the
+sum of v_j times column j, and since no lane can exceed n (q-1)^2 no lane
+carries into the next, so coordinate i is lane i mod q.
 
 `Echelon` is the one elimination: `push` reduces a row against the pivots so
 far and records it as a new pivot unless it is dependent, and `pop` undoes
@@ -51,7 +53,7 @@ matrices.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, product
 from operator import mul
 from random import Random
@@ -64,6 +66,15 @@ DEFAULT_ENUM_CAP = 2**24
 # GL_n(F_q), and the wreath square GL_n wr Z_2, are kept as a tuple, built
 # once per process, when they have at most this many elements
 TABLE_BOUND = 2**16
+# the products of the coset sampler by a basis and by its inverse transpose
+# are dict lookups when F_q^n has at most this many vectors.  The bound is
+# set by memory: in bilinear_invert at q = 2 (CPython 3.11 on a shared
+# 2-vCPU virtual machine) the tables cut the cost per query by 25-30% at
+# n = 4 and 5 and 15% at n = 6 (+1.5 MB peak RSS); a bound of 2^7 made
+# n = 7 about 16% faster with 6 MB more (43 against 37 MB), and one of 2^12
+# made n = 8 about 12% faster with 30 MB more (75 against 45 MB).  At 2^6
+# the tables of one (n, q) hold at most 63 bases x 2 x 64 rows
+_ROW_TABLE_BOUND = 2**6
 
 
 class SingularMatrixError(ValueError):
@@ -188,6 +199,19 @@ def _times(m: Matrix, q: int) -> Callable[[Sequence[Vector]], list[Vector]]:
         return out
 
     return times
+
+
+def row_image_table(vectors: Sequence[Vector], q: int) -> dict[Vector, Vector]:
+    """Every row r of F_q^n -> (<r, w> for w in vectors), from one mat_vecs.
+
+    Coordinate i of A w is <row i of A, w>, so for an A over F_q with n
+    columns tuple(zip(*map(table.__getitem__, A))) is the A w in the order
+    of the vectors, and sorted it is owf.transform_image(A, W, q).vectors;
+    with the rows of a matrix P as the vectors, table[v] is P v.  The table
+    holds q^n rows; a row outside F_q^n is not among its keys.
+    """
+    rows = list(enumerate_vectors(len(vectors[0]), q))
+    return dict(zip(rows, zip(*mat_vecs(rows, vectors, q))))
 
 
 def mat_vec(m: Matrix, v: Vector, q: int) -> Vector:
@@ -567,9 +591,17 @@ def complete_basis(vectors: Sequence[Vector], n: int, q: int) -> Matrix:
 @lru_cache(maxsize=1024)
 def _basis_with_inverse_transpose(u: Vector, q: int) -> tuple[Callable, Callable]:
     """The products by P = complete_basis([u]) (its first column is u) and
-    by the transpose of P^-1, each with its matrix packed (_times)."""
+    by the transpose of P^-1, each vs -> the products in order.
+
+    When q^n <= _ROW_TABLE_BOUND each product is a lookup into the
+    row_image_table of the matrix's rows (every vector v of F_q^n -> P v),
+    else the matrix is packed once (_times).
+    """
     p = complete_basis([u], len(u), q)
-    return _times(p, q), _times(transpose(mat_inverse(p, q)), q)
+    p_inv_t = transpose(mat_inverse(p, q))
+    if q ** len(u) > _ROW_TABLE_BOUND:
+        return _times(p, q), _times(p_inv_t, q)
+    return tuple(partial(map, row_image_table(m, q).__getitem__) for m in (p, p_inv_t))
 
 
 def random_invertible_mapping(u: Vector, w: Vector, q: int, rng: Random) -> Matrix:
@@ -579,8 +611,11 @@ def random_invertible_mapping(u: Vector, w: Vector, q: int, rng: Random) -> Matr
     for a uniform invertible T with first column e_1: that is the fixed map
     P_w P_u^-1 composed with the uniform stabilizer element P_u T P_u^-1 of
     u, so A is uniform on the coset.  The products by P and by (P^-1)^T are
-    cached per (u, q) (1024 entries) with their matrices packed, and A costs
-    two of them: one for the columns of P_w T, one for the rows of A.
+    cached per (u, q) (1024 entries), as lookups into row-image tables when
+    q^n <= _ROW_TABLE_BOUND and with their matrices packed above it, and A
+    costs two of them: one for the columns of P_w T, one for the rows of A.
+    A u and w of different lengths, or an entry outside [0, q), raise
+    ValueError before any draw.
 
     T is invertible exactly when its lower-right (n-1) x (n-1) block is, and
     its first row is free.  When GL_{n-1}(F_q) has at most TABLE_BOUND
@@ -595,6 +630,8 @@ def random_invertible_mapping(u: Vector, w: Vector, q: int, rng: Random) -> Matr
     random_vector calls would, and is tested through the block, a lookup in
     is_invertible_cached.
     """
+    if len(u) != len(w):
+        raise ValueError(f"length mismatch: {len(u)} vs {len(w)}")
     if not any(u) or not any(w):
         raise ValueError("u and w must be nonzero")
     n = len(u)

@@ -311,10 +311,13 @@ def gl_decode_exhaustive(
     decoding over larger fields.  Form number j is the k base-q digits of j,
     most significant first, so the forms come in lexicographic order without
     being listed; they come out by falling agreement, ties in lexicographic
-    order.
+    order.  An epsilon that is not positive (NaN too) raises ValueError
+    before any oracle call or draw.
     """
     import numpy as np  # loaded by the decoders only, see _ranked
 
+    if not epsilon > 0:  # NaN too
+        raise ValueError("epsilon must be positive")
     if q**k > enumeration_cap():
         raise ValueError(f"q^k = {q**k} exceeds enumeration cap")
     if q**k <= _EXACT_DOMAIN:
@@ -524,9 +527,10 @@ def bilinear_invert(
     every y queried once (see _decode) and scored from the memoised
     _exact_scores when q^(2n) <= _BLOCK_ELEMENTS.  Each new (x, y) costs two
     random_invertible_mapping draws, each one random_below call with no
-    rejection when GL_{n-1}(F_q) fits in a table, and A * image and B * key
-    are read off two row-image tables (row_image_table; image and key)
-    built per call.
+    rejection when GL_{n-1}(F_q) fits in a table and its two basis products
+    dict lookups when q^n <= 2^6 (field._ROW_TABLE_BOUND), and A * image and
+    B * key are read off two row-image tables (row_image_table; image and
+    key) built per call.
     """
     n, q = key.n, key.q
     if not any(a) or not any(b):

@@ -31,6 +31,7 @@ from .field import (
     rank,
     random_invertible,
     random_vector,
+    row_image_table,
     validate_modulus,
 )
 from .rng import spawn_rng
@@ -137,18 +138,6 @@ def transform_image(a: Matrix, image: OwfImage, q: int) -> OwfImage:
     """Sorted multiset A*W; equals evaluate at A*M when W = evaluate at M."""
     check_entries(a, q, "matrix")
     return OwfImage(tuple(sorted(mat_vecs(a, image.vectors, q))))
-
-
-def row_image_table(vectors: Sequence[Vector], q: int) -> dict[Vector, Vector]:
-    """Every row r of F_q^n -> (<r, w> for w in vectors), from one mat_vecs.
-
-    Coordinate i of A w is <row i of A, w>, so for an A over F_q with n
-    columns tuple(zip(*map(table.__getitem__, A))) is the A w in the order
-    of the vectors, and sorted it is transform_image(A, W, q).vectors.  The
-    table holds q^n rows; a row outside F_q^n is not among its keys.
-    """
-    rows = list(enumerate_vectors(len(vectors[0]), q))
-    return dict(zip(rows, zip(*mat_vecs(rows, vectors, q))))
 
 
 # -- multiset matching search ------------------------------------------------

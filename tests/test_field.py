@@ -294,12 +294,14 @@ def test_random_invertible_mapping_postcondition():
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3, 5]).flatmap(
-    lambda q: st.integers(1, 5).flatmap(
+    lambda q: st.integers(1, 7 if q == 2 else 5).flatmap(
         lambda n: st.tuples(st.just(q), vectors(q, n), vectors(q, n), st.integers(0, 2**32))
     )
 ))
 def test_random_invertible_mapping_matches_reference(case):
-    """Equal rng states give equal matrices and leave equal rng states."""
+    """Equal rng states give equal matrices and leave equal rng states.  Each
+    q has n on both sides of the row-table bound (2^7, 3^4 and 5^3 vectors
+    lie above it), so both forms of the basis products are compared."""
     q, u, w, seed = case
     assume(any(u) and any(w))
     fast, slow = Random(seed), Random(seed)
@@ -307,6 +309,47 @@ def test_random_invertible_mapping_matches_reference(case):
         u, w, q, slow
     )
     assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize(
+    "q, u", [(2, (1, 0, 1, 1)), (2, (0, 0, 0, 0, 1, 1)), (3, (2, 1, 0)), (3, (0, 1)), (5, (3, 4)), (5, (0, 2))]
+)
+def test_basis_row_tables_match_mat_vecs(q, u):
+    """Below the bound the products by P_u and by (P_u^-1)^T are lookups,
+    and each gives mat_vecs for every vector of F_q^n."""
+    n = len(u)
+    assert q**n <= field._ROW_TABLE_BOUND
+    p = complete_basis([u], n, q)
+    p_inv_t = transpose(mat_inverse(p, q))
+    times_p, times_p_inv_t = field._basis_with_inverse_transpose(u, q)
+    every = list(enumerate_vectors(n, q))
+    assert list(times_p(every)) == mat_vecs(p, every, q)
+    assert list(times_p_inv_t(every)) == mat_vecs(p_inv_t, every, q)
+
+
+@pytest.mark.parametrize("u, w", [((1, 0), (1, 0, 0)), ((1, 0, 0), (1, 0))])
+def test_random_invertible_mapping_rejects_length_mismatch(u, w):
+    """A u and w of different lengths have no square A with A u = w: they
+    raise before any draw."""
+    rng = Random(3)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="length mismatch"):
+        random_invertible_mapping(u, w, 2, rng)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize(
+    "q, u, w", [(2, (2, 1), (1, 0)), (2, (1, 0), (1, -1)), (3, (1, 0, 3), (1, 1, 1)), (5, (1, 1), (5, 0))]
+)
+def test_random_invertible_mapping_rejects_entries_out_of_range(q, u, w):
+    """Below the row-table bound an entry outside [0, q) in u or w raises
+    ValueError, not the KeyError of a missing table row, before any draw."""
+    assert q ** len(u) <= field._ROW_TABLE_BOUND
+    rng = Random(3)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        random_invertible_mapping(u, w, q, rng)
+    assert rng.getstate() == state
 
 
 # -- the sampler against Random.randrange -------------------------------------

@@ -989,6 +989,22 @@ def test_reductions_reject_nan_epsilon():
     assert predictor.query_count == 0 and calls == [] and rng.getstate() == state
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), 0.0, -0.5])
+@pytest.mark.parametrize("k", [3, 9])
+def test_exhaustive_decode_rejects_nonpositive_epsilon(monkeypatch, epsilon, k):
+    """An epsilon that is not positive is no advantage: the exact path (3^3
+    points) and the sampled one (3^9 points, above an exact domain of 3^3)
+    both raise before any oracle call or draw."""
+    monkeypatch.setattr(hardcore, "_EXACT_DOMAIN", 3**3)
+    rng = Random(5)
+    state = rng.getstate()
+    calls = []
+    oracle = linear_oracle((1, 2, 0, 1, 1, 0, 2, 0, 1)[:k], 3)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        gl_decode_exhaustive(lambda x: calls.append(x) or oracle(x), k, 3, epsilon, 50, rng)
+    assert calls == [] and rng.getstate() == state
+
+
 def test_bilinear_invert_rejects_zero_predicate_vectors():
     rng = Random(30)
     key = keygen(2, 4, delta=4, rng=rng)
