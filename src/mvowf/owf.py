@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import mul
 from random import Random
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .field import (
     Echelon,
@@ -144,36 +144,52 @@ def transform_image(a: Matrix, image: OwfImage, q: int) -> OwfImage:
 #
 # Core engine shared by witness enumeration, injectivity, inversion, the
 # graph-isomorphism search and the bilinear reduction: yield every
-# invertible M with M*src = dst as multisets.  An optional colouring
-# (src_colour, dst_colour) lets v map to w only when src_colour(v) ==
-# dst_colour(w).  Inversion, injectivity, the witness enumeration and the
-# graph search pass the colour refinement below (_refined_colours): any M
-# with M*src = dst maps every relation v = a + beta b among the values onto
-# one with the same beta, so M keeps those colours, only branches without a
-# matching go, and the yields and their order stay as they are; node
-# counts fall, so a node_budget now reaches further.  Each distinct value
-# is labelled (multiplicity, colour), a matching maps each value to one of
-# the same label, and so the search ends before its first node when src
-# and dst differ in how many values carry each label.  Distinct source
-# values are assigned targets in first-appearance order, candidates in
-# lexicographic order.  Assigning v -> w pushes the row (v | -M v),
-# reduced, onto a field.Echelon whose pivots lie in the v-part; a second
-# Echelon over the images of the pivots rejects an assignment that would
-# make M singular.  Each source value not
-# yet assigned keeps a residual, (v | 0) reduced against the pivots; a push
-# reduces every residual against the new pivot only.  A residual with a
-# zero v-part is (0 | M v): the value lies in the assigned span and its
-# image is forced.  So the lookahead scans the residuals and prunes the
-# branch when a forced image is missing from dst or has the wrong label.  A
-# forced image cannot collide with an assigned or another forced one: the
-# pivots' images are independent, so M is injective on the assigned span.
-# Packed rows are hashable, and a zero-v-part residual is the key of its
-# image.  When the source values do not span, the unit vectors off the
-# pivot columns complete them, each pushed with an image that keeps M
-# invertible: the first such image only (one witness per leaf) or every
-# one.  At a leaf the pivots span the v-part, so (e_j | 0) reduces to
-# (0 | M e_j), column j of M.  stats["nodes"] receives the nodes charged,
-# however the search ends.
+# invertible M with M*src = dst as multisets.  The engine body (_matchings)
+# reads one label per distinct value of each side and lets v map to w only
+# when their labels are equal; it ends before its first node when src and
+# dst differ in how many values carry some label, which the labelling
+# reports by setting the dst labels to None.  Public iter_matchings labels
+# each value by its multiplicity, or (multiplicity, colour) under an
+# optional colouring (src_colour, dst_colour), as the bilinear reduction
+# passes them.  Inversion, injectivity, the witness enumeration and the
+# graph search pass instead the labels of the colour refinement below
+# (_refined_colours), which the body reads as they are: a refined colour
+# already implies the multiplicity, and the refinement compares the class
+# counts itself.  They still call iter_matchings, so a tracer that rebinds
+# that name sees every search.  Any M with M*src = dst maps every relation
+# v = a + beta b among the values onto one with the same beta, so M keeps
+# the refined colours, only branches without a matching go, and the yields
+# and their order stay as they are; node counts fall, so a node_budget
+# reaches further.  Distinct source values are assigned targets in first-appearance order,
+# candidates in lexicographic order.  Assigning v -> w pushes the row
+# (v | -M v), reduced, onto a field.Echelon whose pivots lie in the v-part;
+# a second Echelon over the images of the pivots rejects an assignment that
+# would make M singular.  Each source value not yet assigned keeps a
+# residual, (v | 0) reduced against the pivots; a push reduces every
+# residual against the new pivot only.  A residual with a zero v-part is
+# (0 | M v): the value lies in the assigned span and its image is forced.
+# So the lookahead scans the residuals and prunes the branch when a forced
+# image is missing from dst or has the wrong label.  A forced image cannot
+# collide with an assigned or another forced one: the pivots' images are
+# independent, so M is injective on the assigned span.  Packed rows are
+# hashable, and a zero-v-part residual is the key of its image.  When the
+# source values do not span, the unit vectors off the pivot columns
+# complete them, each pushed with an image that keeps M invertible: the
+# first such image only (one witness per leaf) or every one.  At a leaf the
+# pivots span the v-part, so (e_j | 0) reduces to (0 | M e_j), column j of
+# M.  stats["nodes"] receives the nodes charged, however the search ends.
+
+
+class _Labels(NamedTuple):
+    """The engine's labels: each distinct value of a side -> its label.
+
+    src lists the source values in first-appearance order, the order the
+    engine assigns them in.  dst is None when the two sides differ in how
+    many values carry some label, so that nothing matches.
+    """
+
+    src: dict
+    dst: dict | None
 
 
 def iter_matchings(
@@ -183,25 +199,47 @@ def iter_matchings(
     n: int,
     node_budget: int | None = None,
     enumerate_completions: bool = True,
-    colours: tuple[Callable[[Vector], object], Callable[[Vector], object]] | None = None,
+    colours: tuple[Callable[[Vector], object], Callable[[Vector], object]] | _Labels | None = None,
     stats: dict | None = None,
 ) -> Iterator[Matrix]:
-    src_colour, dst_colour = colours or (lambda v: None, lambda w: None)
-    src_label = {v: (c, src_colour(v)) for v, c in Counter(src).items()}
-    dst_label = {w: (c, dst_colour(w)) for w, c in Counter(dst).items()}
-    if Counter(src_label.values()) != Counter(dst_label.values()):
+    """Every invertible M with M*src = dst as multisets (see above).
+
+    colours is (src_colour, dst_colour), or the labels _refined_colours
+    returned for this src and dst.
+    """
+    if not isinstance(colours, _Labels):
+        src_label, dst_label = Counter(src), Counter(dst)  # no colouring: the multiplicity
+        if colours is not None:
+            src_colour, dst_colour = colours
+            src_label = {v: (c, src_colour(v)) for v, c in src_label.items()}
+            dst_label = {w: (c, dst_colour(w)) for w, c in dst_label.items()}
+        if Counter(src_label.values()) != Counter(dst_label.values()):
+            dst_label = None
+        colours = _Labels(src_label, dst_label)
+    yield from _matchings(colours, q, n, node_budget, enumerate_completions, stats)
+
+
+def _matchings(
+    labels: _Labels,
+    q: int,
+    n: int,
+    node_budget: int | None,
+    enumerate_completions: bool,
+    stats: dict | None,
+) -> Iterator[Matrix]:
+    if labels.dst is None:
         if stats is not None:
             stats["nodes"] = 0
         return
-    src_vals = list(src_label)  # first-appearance order
-    labels = list(src_label.values())
+    src_vals = list(labels.src)  # first-appearance order
+    src_labels = list(labels.src.values())
     rows = Echelon(q, n, n)
     images = Echelon(q, n)
     bound = rows.bound
     zeros = (0,) * n
     units = identity(n)
-    label_of = {rows.pack(zeros + w): label for w, label in dst_label.items()}
-    by_label: dict[tuple, list] = {}  # label -> keys (0 | w), lex order of w
+    label_of = {rows.pack(zeros + w): label for w, label in labels.dst.items()}
+    by_label: dict = {}  # label -> keys (0 | w), lex order of w
     for k in sorted(label_of):
         by_label.setdefault(label_of[k], []).append(k)
 
@@ -235,7 +273,7 @@ def iter_matchings(
 
     def forced_images_available(idx: int, residuals: list) -> bool:
         return all(
-            label_of.get(r) == label for r, label in zip(residuals, labels[idx:]) if r < bound
+            label_of.get(r) == label for r, label in zip(residuals, src_labels[idx:]) if r < bound
         )
 
     def extend(idx: int, residuals: list) -> Iterator[Matrix]:
@@ -245,7 +283,7 @@ def iter_matchings(
             taken = set(rows.columns())
             yield from complete([e for j, e in enumerate(units) if j not in taken], 0)
             return
-        label = labels[idx]
+        label = src_labels[idx]
         r = residuals[0]
         rest = residuals[1:]
         if r < bound:
@@ -288,37 +326,22 @@ def iter_matchings(
 # dst from one table per round: the colour of v then equals the colour of
 # M v for every M with M*src = dst (Weisfeiler-Leman refinement, run on the
 # relations among the values instead of the edges of a graph).  Passed as
-# the engine's colours, it removes only branches that hold no matching, and
+# the engine's labels, it removes only branches that hold no matching, and
 # each candidate list stays a lex-ordered subsequence, so the yields and
 # their order are unchanged and only the node count falls.  At q = 2 the
 # relations are the zero-sum triples {a, b, a XOR b} of distinct values,
-# each pair {a, b} unordered.  At q > 2 every ordered pair (a, b) is tried,
-# a with coefficient 1 and b with beta in 1..q-1: listing each pair of
+# each pair {a, b} unordered.  At q > 2 they are every (a, b, beta) with
+# v = a + beta b, a and b ordered and beta in 1..q-1: listing each pair of
 # values once, in the order the values come, would tie the relations to an
-# order that M does not keep.  A value alone in its class keeps it, so a
-# round only sorts the relations of the values that share one.
-
-
-def _packed_sum(q: int, n: int) -> tuple[list[int], Callable[[int, int], int]]:
-    """(lane weights, add) for vectors packed into lanes of q.bit_length() + 1 bits.
-
-    add(x, y) is the lane-wise (x + y) mod q of two ints whose lane sums lie
-    in [0, 2q - 2], such as two packed vectors: adding 2^(w-1) - q to every
-    lane sets the lane's top bit exactly where its sum reaches q, and no
-    lane carries into the next, so the sum costs a few int operations
-    whatever n is.
-    """
-    w = q.bit_length() + 1
-    weights = [1 << (w * t) for t in range(n)]
-    ones = sum(weights)
-    bias = ((1 << (w - 1)) - q) * ones
-    tops = ones << (w - 1)
-
-    def add(x: int, y: int) -> int:
-        s = x + y
-        return s - (((s + bias) & tops) >> (w - 1)) * q
-
-    return weights, add
+# order that M does not keep.  One lane-packed difference per unordered
+# pair {v, a} finds them: v - a = beta b gives v the relation (a, b, beta)
+# and a the relation (v, b, q - beta), and a zero value z gives each v the
+# relations (v, z, beta) once.  A relation enters a round's signature as one
+# int at every q.  A value alone in its class keeps it, so a round only
+# sorts the relations of the values that share one.  Cost (process_time on
+# 2 vCPUs, Python 3.11): at q = 3, n = 3 (m = 8) the relations take about
+# 16 us a side and a two-sided refinement about 73 us, nearly half of an
+# inversion call; the rounds, not the relations, are most of it.
 
 
 def _relations(values: Sequence[Vector], q: int) -> list[list[tuple[int, int, int]]]:
@@ -335,43 +358,59 @@ def _relations(values: Sequence[Vector], q: int) -> list[list[tuple[int, int, in
                     out[j].append((l, i, 1))
                     out[l].append((j, i, 1))
         return out
-    weights, add = _packed_sum(q, len(values[0]))
+    # Vectors packed into lanes of w bits: a lane then holds any sum up to
+    # 2q - 1 without carrying into the next, and adding 2^(w-1) - q to every
+    # lane sets its top bit exactly where its sum reaches q, so a lane-wise
+    # reduction mod q costs a few int operations whatever n is.
+    w = q.bit_length() + 1
+    weights = [1 << (w * t) for t in range(len(values[0]))]
+    ones = sum(weights)
+    bias, tops, top = ((1 << (w - 1)) - q) * ones, ones << (w - 1), w - 1
     codes = [sum(map(mul, v, weights)) for v in values]
     multiples: dict[int, list[tuple[int, int]]] = {}  # beta v_l -> (l, beta)
     for l, b in enumerate(codes):
         x = b
         for beta in range(1, q):
             multiples.setdefault(x, []).append((l, beta))
-            x = add(x, b)
-    qs = q * sum(weights)  # q in every lane
-    for j, a in enumerate(codes):
-        minus_a = add(qs - a, 0)
-        for i, v in enumerate(codes):
-            for l, beta in multiples.get(add(v, minus_a), ()):
-                out[i].append((j, l, beta))
+            x += b
+            x -= (((x + bias) & tops) >> top) * q
+    for l, beta in multiples.get(0, ()):  # v_i = v_i + beta * 0
+        for i, rels in enumerate(out):
+            rels.append((i, l, beta))
+    get = multiples.get
+    qs = q * ones  # q in every lane
+    for i, a in enumerate(codes):
+        rels = out[i]
+        a += qs
+        for j in range(i + 1, len(codes)):
+            d = a - codes[j]  # v_i - v_j, lanes in [1, 2q - 1] before the reduction
+            hits = get(d - (((d + bias) & tops) >> top) * q)
+            if hits:
+                for l, beta in hits:
+                    rels.append((j, l, beta))
+                    out[j].append((i, l, q - beta))
     return out
 
 
-def _refined_colours(
-    src: Sequence[Vector], dst: Sequence[Vector], q: int
-) -> tuple[Callable[[Vector], int], Callable[[Vector], int]] | None:
-    """The joint invariant colouring above, as iter_matchings colours.
+def _refined_colours(src: Sequence[Vector], dst: Sequence[Vector], q: int) -> _Labels:
+    """The joint invariant colouring above, as the engine's labels.
 
-    None when the multiplicities of src and dst already differ, which the
-    engine finds before its first node.  Refinement stops when the number
-    of classes stops growing, when every value has a class of its own, or
-    when src and dst differ in how many values carry some colour.
+    The labels' dst is None when src and dst differ in their multiplicities
+    or, after some round, in how many values carry some colour: then no M
+    maps src onto dst.  Refinement stops there, when the number of classes
+    stops growing, or when every value has a class of its own.
     """
     counts = [Counter(src)]
     if dst is not src:
         dst_count = Counter(dst)
         if dst_count != counts[0]:
             if sorted(dst_count.values()) != sorted(counts[0].values()):
-                return None
+                return _Labels(counts[0], None)
             counts.append(dst_count)  # refine both, naming from one table
     colours = [list(c.values()) for c in counts]
     sizes = Counter(colours[0])
     relations = [_relations(list(c), q) for c in counts] if len(sizes) < len(colours[0]) else []
+    span = len(src) + len(dst) + 1  # above every multiplicity and every name
     while len(sizes) < len(colours[0]):
         names: dict[tuple, int] = {}
         refined = []
@@ -382,18 +421,22 @@ def _refined_colours(
                     [bit[j] | bit[l] for j, l, _ in r] if sizes[c] > 1 else ()
                     for c, r in zip(col, rels)
                 ]
-            else:
+            else:  # (a * span + b) * q + beta names (a, b, beta)
+                high = [c * span * q for c in col]
+                low = [c * q for c in col]
                 sigs = [
-                    [(col[j], col[l], beta) for j, l, beta in r] if sizes[c] > 1 else ()
+                    [high[j] + low[l] + beta for j, l, beta in r] if sizes[c] > 1 else ()
                     for c, r in zip(col, rels)
                 ]
             refined.append([names.setdefault((c, *sorted(s)), len(names)) for c, s in zip(col, sigs)])
-        if len(names) == len(sizes) or sorted(refined[0]) != sorted(refined[-1]):
-            colours = refined
-            break
-        colours, sizes = refined, Counter(refined[0])
-    colour = [dict(zip(c, col)).__getitem__ for c, col in zip(counts, colours)]
-    return colour[0], colour[-1]
+        colours = refined
+        if len(names) == len(sizes):
+            break  # each old class kept one name, so the counts still agree
+        if len(refined) > 1 and sorted(refined[0]) != sorted(refined[1]):
+            return _Labels(counts[0], None)
+        sizes = Counter(refined[0])
+    labels = [dict(zip(c, col)) for c, col in zip(counts, colours)]
+    return _Labels(labels[0], labels[-1])
 
 
 def _canonical_permutation(vectors: Sequence[Vector], k: Matrix, q: int) -> tuple[int, ...]:
@@ -465,9 +508,13 @@ def invert_backtracking(
     """First invertible M with M*V = image found by the matching search.
 
     Returns None when the image has no preimage; raises BudgetExceededError
-    when the node budget runs out first.  Every returned matrix is verified
-    through evaluate.
+    when the node budget runs out first, and ValueError when an image vector
+    has the wrong length or an entry outside [0, q).  Every returned matrix
+    is verified through evaluate.
     """
+    if set(map(len, image.vectors)) - {key.n}:
+        raise ValueError("image vector of wrong length")
+    check_entries(image.vectors, key.q, "image vector")
     # A key with more vectors than F_q^n has points repeats most points, with
     # varied multiplicities; the engine's multiplicity labels then reach the
     # first witness in few nodes, and refining costs more than it saves.

@@ -665,6 +665,90 @@ def reference_iter_matchings(
         stats["nodes"] = nodes
 
 
+# -- reference colour refinement: the relations with one lane-sum call per
+# ordered pair of values, and the refinement naming q > 2 signatures by
+# tuples and returning colour callables, as they were before the engine read
+# its labels
+
+
+def reference_relations(values, q):
+    """For each value v_i, the (j, l, beta) with v_i = v_j + beta v_l."""
+    out = [[] for _ in values]
+    if q == 2:
+        codes = [int.from_bytes(bytes(v), "big") for v in values]
+        index = dict(zip(codes, range(len(codes)))).get
+        for j, a in enumerate(codes):
+            for l in range(j + 1, len(codes)):
+                i = index(a ^ codes[l])
+                if i is not None and i > l:
+                    out[i].append((j, l, 1))
+                    out[j].append((l, i, 1))
+                    out[l].append((j, i, 1))
+        return out
+    w = q.bit_length() + 1
+    weights = [1 << (w * t) for t in range(len(values[0]))]
+    ones = sum(weights)
+    bias = ((1 << (w - 1)) - q) * ones
+    tops = ones << (w - 1)
+
+    def add(x, y):
+        s = x + y
+        return s - (((s + bias) & tops) >> (w - 1)) * q
+
+    codes = [sum(map(mul, v, weights)) for v in values]
+    multiples = {}
+    for l, b in enumerate(codes):
+        x = b
+        for beta in range(1, q):
+            multiples.setdefault(x, []).append((l, beta))
+            x = add(x, b)
+    qs = q * ones
+    for j, a in enumerate(codes):
+        minus_a = add(qs - a, 0)
+        for i, v in enumerate(codes):
+            for l, beta in multiples.get(add(v, minus_a), ()):
+                out[i].append((j, l, beta))
+    return out
+
+
+def reference_refined_colours(src, dst, q):
+    """(src_colour, dst_colour) of the joint refinement, or None when the
+    multiplicities differ.  On a round where src and dst differ in how many
+    values carry some colour, the colours of that round."""
+    counts = [Counter(src)]
+    if dst is not src:
+        dst_count = Counter(dst)
+        if dst_count != counts[0]:
+            if sorted(dst_count.values()) != sorted(counts[0].values()):
+                return None
+            counts.append(dst_count)
+    colours = [list(c.values()) for c in counts]
+    sizes = Counter(colours[0])
+    relations = [reference_relations(list(c), q) for c in counts] if len(sizes) < len(colours[0]) else []
+    while len(sizes) < len(colours[0]):
+        names = {}
+        refined = []
+        for col, rels in zip(colours, relations):
+            if q == 2:
+                bit = [1 << c for c in col]
+                sigs = [
+                    [bit[j] | bit[l] for j, l, _ in r] if sizes[c] > 1 else ()
+                    for c, r in zip(col, rels)
+                ]
+            else:
+                sigs = [
+                    [(col[j], col[l], beta) for j, l, beta in r] if sizes[c] > 1 else ()
+                    for c, r in zip(col, rels)
+                ]
+            refined.append([names.setdefault((c, *sorted(s)), len(names)) for c, s in zip(col, sigs)])
+        if len(names) == len(sizes) or sorted(refined[0]) != sorted(refined[-1]):
+            colours = refined
+            break
+        colours, sizes = refined, Counter(refined[0])
+    colour = [dict(zip(c, col)).__getitem__ for c, col in zip(counts, colours)]
+    return colour[0], colour[-1]
+
+
 # -- reference per-query work: the predicate truths through the full matrix
 # L M0 R^-1, and the trace reduction with a fresh rank and transform_image
 # for each query matrix, as they were before the row-image tables and the

@@ -202,6 +202,32 @@ def test_injectivity_csv_deterministic(capsys):
     assert header == "delta,m,trials,injective,probability,std_error"
 
 
+@pytest.mark.parametrize(
+    "q, n, deltas, stdout",
+    [
+        (
+            "3", "4", "2,4",
+            '[\n  {\n    "delta": 2,\n    "injective": 0,\n    "m": 6,\n    "probability": 0.0,\n'
+            '    "trials": 20\n  },\n  {\n    "delta": 4,\n    "injective": 10,\n    "m": 8,\n'
+            '    "probability": 0.5,\n    "trials": 20\n  }\n]\n',
+        ),
+        (
+            "5", "3", "1,3",
+            '[\n  {\n    "delta": 1,\n    "injective": 3,\n    "m": 4,\n    "probability": 0.15,\n'
+            '    "trials": 20\n  },\n  {\n    "delta": 3,\n    "injective": 14,\n    "m": 6,\n'
+            '    "probability": 0.7,\n    "trials": 20\n  }\n]\n',
+        ),
+    ],
+    ids=["q3n4", "q5n3"],
+)
+def test_injectivity_seeded_stdout(q, n, deltas, stdout, capsys):
+    """Seeded injectivity runs at q > 2, where the refinement's relations
+    carry a coefficient beta."""
+    args = ["injectivity", "--q", q, "--n", n, "--deltas", deltas, "--trials", "20", "--seed", "1"]
+    assert run(args) == 0
+    assert capsys.readouterr().out == stdout
+
+
 def test_hsp_check_cli(capsys):
     assert run(["hsp-check", "--q", "2", "--n", "2", "--seed", "5"]) == 0
     doc = json.loads(capsys.readouterr().out)

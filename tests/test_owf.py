@@ -14,6 +14,8 @@ from conftest import (
     reference_invert_exhaustive,
     reference_iter_matchings,
     reference_mat_vec,
+    reference_refined_colours,
+    reference_relations,
     vectors,
 )
 from mvowf.field import (
@@ -45,6 +47,7 @@ from mvowf.owf import (
     orbit_randomize,
     row_image_table,
     _refined_colours,
+    _relations,
     self_reduce,
     transform_image,
 )
@@ -239,6 +242,24 @@ def test_invert_backtracking_budget():
     img = evaluate(key, random_invertible(4, 2, rng))
     with pytest.raises(BudgetExceededError):
         invert_backtracking(key, img, node_budget=2)
+
+
+@pytest.mark.parametrize(
+    "q, n, delta", [(2, 3, 2), (2, 2, 5), (3, 3, 5), (3, 2, 10), (5, 3, 3), (5, 2, 30)]
+)
+def test_invert_backtracking_rejects_malformed_image(q, n, delta):
+    """An image vector of the wrong length or with an entry outside [0, q)
+    raises ValueError, on either side of m <= q^n (where inversion refines
+    the colours, and where it does not); an image with the wrong number of
+    vectors has no preimage."""
+    rng = Random(100 * q + n)
+    key = keygen(q, n, delta=delta, rng=rng)
+    image = evaluate(key, random_invertible(n, q, rng)).vectors
+    for bad in [(q,) + (0,) * (n - 1), (0,) * (n - 1) + (-1,), (1,) * (n - 1), (1,) * (n + 1)]:
+        with pytest.raises(ValueError):
+            invert_backtracking(key, OwfImage(tuple(sorted(image[1:] + (bad,)))))
+    assert invert_backtracking(key, OwfImage(image[1:])) is None
+    assert invert_backtracking(key, OwfImage(tuple(sorted(image + image[:1])))) is None
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -517,21 +538,25 @@ def test_iter_matchings_matches_reference(search):
 
 
 def _colouring(data, src, dst, q, n, yields):
-    """((src_colour, dst_colour), invariant).  The colours are the refined
-    ones the engine's callers pass (invariant: every matching keeps them),
+    """(colours, (src_colour, dst_colour), invariant): what the engine is
+    passed, and the colour of each value.  The colours are the refined
+    labels the engine's callers pass (invariant: every matching keeps them),
     linear, v -> Hv and w -> Gw, or arbitrary dicts; the last two are often
     consistent with one of the yields K when there are any."""
     kind = data.draw(st.sampled_from(["refined", "linear", "arbitrary"]))
     if kind == "refined":
-        # None when the multiplicities differ: then nothing matches
-        return _refined_colours(src, dst, q) or ((lambda v: 0), (lambda w: 0)), True
+        labels = _refined_colours(src, dst, q)
+        # no dst labels when the classes differ: then nothing matches, and
+        # no dst colour equals a src colour
+        return labels, (labels.src.get, (labels.dst or {}).get), True
     rng = Random(data.draw(st.integers(0, 2**32)))
     k = data.draw(st.sampled_from(yields)) if yields and data.draw(st.booleans()) else None
     if kind == "linear":
         h = tuple(random_vector(n, q, rng) for _ in range(data.draw(st.integers(1, n))))
         # G = H K^-1 gives K v the colour of v
         g = mat_mul(h, mat_inverse(k, q), q) if k else tuple(random_vector(n, q, rng) for _ in h)
-        return ((lambda v: mat_vec(h, v, q)), (lambda w: mat_vec(g, w, q))), False
+        colours = (lambda v: mat_vec(h, v, q)), (lambda w: mat_vec(g, w, q))
+        return colours, colours, False
     spread = data.draw(st.integers(1, 3))
     src_colour = {v: rng.randrange(spread) for v in src}
     dst_colour = {w: rng.randrange(spread) for w in dst}
@@ -544,7 +569,8 @@ def _colouring(data, src, dst, q, n, yields):
         x = rng.choice(dst)
         y = rng.choice([w for w in dst if count[w] == count[x]])
         dst_colour[x], dst_colour[y] = dst_colour[y], dst_colour[x]
-    return (src_colour.__getitem__, dst_colour.__getitem__), False
+    colours = src_colour.__getitem__, dst_colour.__getitem__
+    return colours, colours, False
 
 
 @given(matching_searches(), st.data())
@@ -556,8 +582,7 @@ def test_colours_filter_reference_yields(search, data):
     src, dst, q, n, _ = search
     stats, got_stats = {}, {}
     plain, finished = _run_search(reference_iter_matchings, *search, 3000, stats=stats)
-    colours, invariant = _colouring(data, src, dst, q, n, plain)
-    src_colour, dst_colour = colours
+    colours, (src_colour, dst_colour), invariant = _colouring(data, src, dst, q, n, plain)
     keep = [m for m in plain if all(src_colour(v) == dst_colour(mat_vec(m, v, q)) for v in src)]
     if invariant:
         assert keep == plain
@@ -568,6 +593,29 @@ def test_colours_filter_reference_yields(search, data):
     else:
         # the coloured tree is a subtree, searched in the same order
         assert got[: len(keep)] == keep
+
+
+@given(matching_searches())
+@settings(max_examples=300)
+def test_refined_labels_search_matches_reference_colours(search):
+    """The engine on the refinement's labels, as its callers run it, against
+    the engine on the reference refinement's colour callables, labelled
+    (multiplicity, colour): the same yields in the same order, the same
+    node count, and a budget one short stops both at the same node."""
+    src, dst, q = search[:3]
+    labelled = _refined_colours(src, dst, q)
+    coloured = reference_refined_colours(src, dst, q)
+    stats, got_stats = {}, {}
+    expected = _run_search(iter_matchings, *search, 3000, colours=coloured, stats=stats)
+    assert _run_search(iter_matchings, *search, 3000, colours=labelled, stats=got_stats) == expected
+    assert got_stats["nodes"] == stats["nodes"]
+    nodes = stats["nodes"]
+    if expected[1] and nodes:
+        stats, got_stats = {}, {}
+        short = _run_search(iter_matchings, *search, nodes - 1, colours=coloured, stats=stats)
+        assert not short[1]
+        assert _run_search(iter_matchings, *search, nodes - 1, colours=labelled, stats=got_stats) == short
+        assert got_stats["nodes"] == stats["nodes"] == nodes
 
 
 def test_stats_written_when_closed():
@@ -607,8 +655,88 @@ def test_refined_colours_are_gl_invariant(q, n, data):
     src = tuple(data.draw(st.permutations(distinct + repeats)))
     m = random_invertible(n, q, Random(data.draw(st.integers(0, 2**32))))
     images = mat_vecs(m, src, q)
-    src_colour, dst_colour = _refined_colours(src, tuple(sorted(images)), q)
-    assert all(src_colour(v) == dst_colour(w) for v, w in zip(src, images))
+    labels = _refined_colours(src, tuple(sorted(images)), q)
+    assert all(labels.src[v] == labels.dst[w] for v, w in zip(src, images))
+
+
+def _brute_force_relations(values, q):
+    """For each v_i, every (j, l, beta) with v_i = v_j + beta v_l; at q = 2
+    the pairs j < l of values other than v_i (the zero-sum triples)."""
+    k = len(values)
+    if q == 2:
+        candidates = [(j, l, 1) for j in range(k) for l in range(j + 1, k)]
+    else:
+        candidates = [(j, l, beta) for j in range(k) for l in range(k) for beta in range(1, q)]
+    out = []
+    for i, v in enumerate(values):
+        out.append(
+            sorted(
+                (j, l, beta)
+                for j, l, beta in candidates
+                if (q > 2 or i not in (j, l))
+                and v == tuple((a + beta * b) % q for a, b in zip(values[j], values[l]))
+            )
+        )
+    return out
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(2, 4), st.booleans(), st.data())
+@settings(max_examples=200)
+def test_relations_match_reference_and_scan(q, n, zero, data):
+    """_relations, one difference per unordered pair, against the reference
+    (one lane sum per ordered pair) and a scan over every (j, l, beta), as
+    multisets per value; the values sometimes hold the zero vector."""
+    values = data.draw(st.lists(vectors(q, n), min_size=1, max_size=2 * n + 6, unique=True))
+    if zero and (0,) * n not in values:
+        values.insert(data.draw(st.integers(0, len(values))), (0,) * n)
+    got = [sorted(r) for r in _relations(values, q)]
+    assert got == [sorted(r) for r in reference_relations(values, q)]
+    assert got == _brute_force_relations(values, q)
+
+
+def _partition(colour_of):
+    """The classes of equal colour among the keys of colour_of."""
+    classes = {}
+    for x, c in colour_of.items():
+        classes.setdefault(c, set()).add(x)
+    return sorted(map(sorted, classes.values()))
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(2, 4), st.booleans(), st.data())
+@settings(max_examples=300)
+def test_refined_colours_partition_matches_reference(q, n, zero, data):
+    """The refinement's labels split {(side, value)} into the reference's
+    classes, for dst = M*src, for an unrelated dst with the same
+    multiplicity profile and for dst = src; dst has no labels exactly when
+    the reference's two sides differ in how many values carry some colour."""
+    distinct = data.draw(st.lists(vectors(q, n), min_size=1, max_size=2 * n + 4, unique=True))
+    if zero and (0,) * n not in distinct:
+        distinct.append((0,) * n)
+    repeats = data.draw(st.lists(st.sampled_from(distinct), max_size=6))
+    src = tuple(data.draw(st.permutations(distinct + repeats)))
+    rng = Random(data.draw(st.integers(0, 2**32)))
+    kind = data.draw(st.sampled_from(["image", "unrelated", "self"]))
+    if kind == "self":
+        dst = src
+    elif kind == "image":
+        dst = tuple(sorted(mat_vecs(random_invertible(n, q, rng), src, q)))
+    else:
+        # as many distinct values as src, carrying its multiplicities
+        k = len(distinct)
+        others = data.draw(st.lists(vectors(q, n), min_size=k, max_size=k, unique=True))
+        counts = list(Counter(src).values())
+        rng.shuffle(counts)
+        dst = tuple(sorted(w for w, c in zip(others, counts) for _ in range(c)))
+    labels = _refined_colours(src, dst, q)
+    src_colour, dst_colour = reference_refined_colours(src, dst, q)
+    expected = {(0, v): src_colour(v) for v in src}
+    expected.update({(1, w): dst_colour(w) for w in dst})
+    differ = Counter(src_colour(v) for v in set(src)) != Counter(dst_colour(w) for w in set(dst))
+    assert (labels.dst is None) == differ
+    if not differ:
+        got = {(0, v): c for v, c in labels.src.items()}
+        got.update({(1, w): c for w, c in labels.dst.items()})
+        assert _partition(got) == _partition(expected)
 
 
 # the groups small enough to scan once per example; GL_3(F_3) has 11,232 elements
