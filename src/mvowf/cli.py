@@ -7,6 +7,10 @@ argument or modulus, a malformed, missing or unreadable file, a directory
 given as a file), 3 search budget exceeded, 4 internal error (any other
 exception, reported on stderr as "internal error: ..."), so exit 1 always
 means a computed answer.
+
+The options several subcommands share are declared once, in _OPTIONS, and
+added to each subcommand by name.  The hard-core subcommands share _plant
+and _hardcore_report, and each names the stats counts it prints.
 """
 
 from __future__ import annotations
@@ -55,18 +59,33 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _bounded_int(low: int, kind: str):
+    """argparse type: an integer of at least low, described as kind."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        return value
+
+    # argparse names the type in "invalid <name> value" when int() fails
+    parse.__name__ = f"_{kind.replace('-', '_')}_int"
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+_OPTIONS = {
+    "--q": dict(type=int, required=True),
+    "--n": dict(type=int, required=True),
+    "--m": dict(type=int, required=True),
+    "--k": dict(type=_bounded_int(0, "non-negative"), required=True),
+    "--delta": dict(type=int, default=None),
+    "--deltas": dict(required=True, help="comma-separated list"),
+    "--seed": dict(type=int, required=True),
+    "--budget": dict(type=_bounded_int(0, "non-negative"), default=10**6),
+    "--epsilon": dict(type=float, default=None, help="predictor advantage; default perfect"),
+    "--trials": dict(type=_bounded_int(1, "positive"), default=100),
+    "--format": dict(choices=["json", "csv"], default="json"),
+}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -80,12 +99,17 @@ def _json_doc(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_doc(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _emit_formatted(args, payload, header: list[str], rows: list[list]) -> int:
+    """Write payload as JSON, or header and rows as CSV under --format csv."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        _emit(buf.getvalue(), args.out)
+    else:
+        _emit(_json_doc(payload), args.out)
+    return EXIT_OK
 
 
 def _injective_key(q: int, n: int, delta: int | None, rng) -> OwfKey:
@@ -125,29 +149,22 @@ def cmd_invert(args) -> int:
 def cmd_injectivity(args) -> int:
     deltas = [int(d) for d in args.deltas.split(",")]
     points = injectivity_experiment(args.q, args.n, deltas, args.trials, args.seed)
-    if args.format == "csv":
-        doc = _csv_doc(
-            ["delta", "m", "trials", "injective", "probability", "std_error"],
-            [
-                [p.delta, p.m, p.trials, p.injective, f"{p.probability:.6f}", f"{p.std_error:.6f}"]
-                for p in points
-            ],
-        )
-    else:
-        doc = _json_doc(
-            [
-                {
-                    "delta": p.delta,
-                    "m": p.m,
-                    "trials": p.trials,
-                    "injective": p.injective,
-                    "probability": round(p.probability, 6),
-                }
-                for p in points
-            ]
-        )
-    _emit(doc, args.out)
-    return EXIT_OK
+    payload = [
+        {
+            "delta": p.delta,
+            "m": p.m,
+            "trials": p.trials,
+            "injective": p.injective,
+            "probability": round(p.probability, 6),
+        }
+        for p in points
+    ]
+    rows = [
+        [p.delta, p.m, p.trials, p.injective, f"{p.probability:.6f}", f"{p.std_error:.6f}"]
+        for p in points
+    ]
+    header = ["delta", "m", "trials", "injective", "probability", "std_error"]
+    return _emit_formatted(args, payload, header, rows)
 
 
 def cmd_gi_encode(args) -> int:
@@ -179,69 +196,62 @@ def cmd_hsp_check(args) -> int:
     return EXIT_OK if holds else EXIT_NEGATIVE
 
 
-def cmd_hardcore_trace(args) -> int:
-    rng = spawn_rng(args.seed, "hardcore-trace")
-    q = args.q
-    key = _injective_key(q, args.n, args.delta, rng)
-    m0 = random_invertible(args.n, q, rng)
-    image = evaluate(key, m0)
-    epsilon = args.epsilon if args.epsilon is not None else 1 - 1 / q
-    predictor = make_noisy_predictor(make_trace_truth(m0, q), epsilon, q, rng)
-    stats: dict = {}
-    recovered = trace_invert(key, image, predictor, epsilon, rng, stats=stats)
+def _plant(args, key: OwfKey, make_truth, *truth_args, rng):
+    """(M0, image, epsilon, predictor): M0 uniform in GL_n, its image under
+    key, --epsilon (default 1 - 1/q, a perfect predictor) and a noisy
+    predictor for make_truth(M0, *truth_args, q)."""
+    m0 = random_invertible(args.n, args.q, rng)
+    epsilon = args.epsilon if args.epsilon is not None else 1 - 1 / args.q
+    truth = make_truth(m0, *truth_args, args.q)
+    return m0, evaluate(key, m0), epsilon, make_noisy_predictor(truth, epsilon, args.q, rng)
+
+
+def _hardcore_report(args, key: OwfKey, m0, epsilon, predictor, recovered, stats, *counts) -> int:
+    """Write a reduction's JSON report with the stats entries named in
+    counts; return exit 0 when it recovered a preimage, 1 otherwise."""
     report = {
-        "q": q,
+        "q": args.q,
         "n": args.n,
         "m": key.m,
         "epsilon": epsilon,
         "recovered": recovered is not None,
         "matches_planted": recovered == m0,
         "predictor_queries": predictor.query_count,
-        **stats,
+        **{name: stats.get(name) for name in counts},
     }
     _emit(_json_doc(report), args.out)
     return EXIT_OK if recovered is not None else EXIT_NEGATIVE
+
+
+def cmd_hardcore_trace(args) -> int:
+    rng = spawn_rng(args.seed, "hardcore-trace")
+    key = _injective_key(args.q, args.n, args.delta, rng)
+    m0, image, epsilon, predictor = _plant(args, key, make_trace_truth, rng=rng)
+    stats: dict = {}
+    recovered = trace_invert(key, image, predictor, epsilon, rng, stats=stats)
+    counts = ("invertible_queries", "singular_queries", "rounds", "candidates")
+    return _hardcore_report(args, key, m0, epsilon, predictor, recovered, stats, *counts)
 
 
 def cmd_hardcore_bilinear(args) -> int:
     rng = spawn_rng(args.seed, "hardcore-bilinear")
-    q = args.q
-    key = keygen(q, args.n, delta=args.delta, rng=rng)
-    m0 = random_invertible(args.n, q, rng)
-    image = evaluate(key, m0)
+    key = keygen(args.q, args.n, delta=args.delta, rng=rng)
     a = tuple(1 if i == 0 else 0 for i in range(args.n))
     b = tuple(1 if i == min(1, args.n - 1) else 0 for i in range(args.n))
-    epsilon = args.epsilon if args.epsilon is not None else 1 - 1 / q
-    predictor = make_noisy_predictor(make_bilinear_truth(m0, a, b, q), epsilon, q, rng)
+    m0, image, epsilon, predictor = _plant(args, key, make_bilinear_truth, a, b, rng=rng)
     stats: dict = {}
     recovered = bilinear_invert(
         key, image, predictor, a, b, epsilon, rng, assignment_budget=args.budget, stats=stats
     )
-    report = {
-        "q": q,
-        "n": args.n,
-        "m": key.m,
-        "epsilon": epsilon,
-        "recovered": recovered is not None,
-        "matches_planted": recovered == m0,
-        "predictor_queries": predictor.query_count,
-        "t_queries": stats.get("t_queries"),
-        "assignments_tried": stats.get("assignments_tried"),
-    }
-    _emit(_json_doc(report), args.out)
-    if stats.get("budget_exhausted"):
-        return EXIT_BUDGET
-    return EXIT_OK if recovered is not None else EXIT_NEGATIVE
+    counts = ("t_queries", "assignments_tried")
+    code = _hardcore_report(args, key, m0, epsilon, predictor, recovered, stats, *counts)
+    return EXIT_BUDGET if stats.get("budget_exhausted") else code
 
 
 def cmd_perm_stats(args) -> int:
     coeffs = [int(c) for c in transposition_poly_product(args.k)]
-    if args.format == "csv":
-        doc = _csv_doc(["degree", "coefficient"], list(enumerate(coeffs)))
-    else:
-        doc = _json_doc({"k": args.k, "coefficients": coeffs})
-    _emit(doc, args.out)
-    return EXIT_OK
+    payload = {"k": args.k, "coefficients": coeffs}
+    return _emit_formatted(args, payload, ["degree", "coefficient"], list(enumerate(coeffs)))
 
 
 def cmd_ig_stats(args) -> int:
@@ -255,12 +265,7 @@ def cmd_ig_stats(args) -> int:
         "max": summary.max,
         "mean_over_sqrt_m": round(summary.mean_over_sqrt_m, 6),
     }
-    if args.format == "csv":
-        doc = _csv_doc(list(payload), [list(payload.values())])
-    else:
-        doc = _json_doc(payload)
-    _emit(doc, args.out)
-    return EXIT_OK
+    return _emit_formatted(args, payload, list(payload), [list(payload.values())])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,78 +274,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sorted-multiset matrix one-way function: evaluation, inversion oracles, reductions, experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = globals()  # cmd_* looked up when the parser is built, as tests may replace one
 
-    def add(name, func, help_text):
+    def add(name, help_text, *options):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=commands["cmd_" + name.replace("-", "_")])
         p.add_argument("--out", help="write output to this file instead of stdout")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
         return p
 
-    p = add("keygen", cmd_keygen, "sample a fresh key")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--seed", type=int, required=True)
+    add("keygen", "sample a fresh key", "--q", "--n", "--delta", "--seed")
 
-    p = add("eval", cmd_eval, "evaluate the function at a matrix")
+    p = add("eval", "evaluate the function at a matrix")
     p.add_argument("key", help="instance JSON file holding the key")
     p.add_argument("matrix", help="text file, one row of digits per line")
 
-    p = add("invert", cmd_invert, "search for a preimage of the instance's W")
+    p = add("invert", "search for a preimage of the instance's W", "--budget")
     p.add_argument("instance", help="instance JSON file holding V and W")
-    p.add_argument("--budget", type=_non_negative_int, default=10**6)
 
-    p = add("injectivity", cmd_injectivity, "empirical injectivity probability per delta")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--deltas", required=True, help="comma-separated list")
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    add("injectivity", "empirical injectivity probability per delta",
+        "--q", "--n", "--deltas", "--trials", "--seed", "--format")
 
-    p = add("gi-encode", cmd_gi_encode, "encode a graph as a key instance")
+    p = add("gi-encode", "encode a graph as a key instance", "--q")
     p.add_argument("graph")
-    p.add_argument("--q", type=int, required=True)
 
-    p = add("gi-solve", cmd_gi_solve, "decide isomorphism via the matrix search")
+    p = add("gi-solve", "decide isomorphism via the matrix search", "--q")
     p.add_argument("graph1")
     p.add_argument("graph2")
-    p.add_argument("--q", type=int, required=True)
     p.add_argument("--seed", type=int, default=None, help="accepted for uniformity; search is deterministic")
-    p.add_argument("--budget", type=_non_negative_int, default=10**6)
+    p.add_argument("--budget", **_OPTIONS["--budget"])
 
-    p = add("hsp-check", cmd_hsp_check, "verify the hidden-subgroup promise exhaustively")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--seed", type=int, required=True)
-
-    p = add("hardcore-trace", cmd_hardcore_trace, "run the trace-predicate inversion reduction")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None, help="predictor advantage; default perfect")
-    p.add_argument("--seed", type=int, required=True)
-
-    p = add("hardcore-bilinear", cmd_hardcore_bilinear, "run the bilinear-predicate inversion reduction")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--budget", type=_non_negative_int, default=10**6)
-    p.add_argument("--seed", type=int, required=True)
-
-    p = add("perm-stats", cmd_perm_stats, "transposition-count polynomial coefficients")
-    p.add_argument("--k", type=_non_negative_int, required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-
-    p = add("ig-stats", cmd_ig_stats, "signature-preserving shuffle experiment")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    add("hsp-check", "verify the hidden-subgroup promise exhaustively", "--q", "--n", "--delta", "--seed")
+    add("hardcore-trace", "run the trace-predicate inversion reduction",
+        "--q", "--n", "--delta", "--epsilon", "--seed")
+    add("hardcore-bilinear", "run the bilinear-predicate inversion reduction",
+        "--q", "--n", "--delta", "--epsilon", "--budget", "--seed")
+    add("perm-stats", "transposition-count polynomial coefficients", "--k", "--format")
+    add("ig-stats", "signature-preserving shuffle experiment",
+        "--n", "--m", "--q", "--trials", "--seed", "--format")
 
     return parser
 

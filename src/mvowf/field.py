@@ -159,7 +159,10 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def mat_vecs(m: Matrix, vs: Sequence[Vector], q: int) -> list[Vector]:
-    """M v for every v in vs, in order; entries of m and vs lie in [0, q)."""
+    """M v for every v in vs, in order; entries of m and vs lie in [0, q).
+    A matrix with no rows maps every vector to ()."""
+    if not m:
+        return [()] * len(vs)
     if set(map(len, vs)) - {len(m[0])}:
         raise ValueError("dimension mismatch")
     return _times(m, q)(vs)
@@ -627,8 +630,9 @@ def random_invertible_mapping(u: Vector, w: Vector, q: int, rng: Random) -> Matr
     different T and the draw is exactly uniform.  Otherwise (a larger group,
     or n = 1, which draws nothing) each attempt draws the n (n - 1) entries
     of T's columns 2..n in one random_below call, in the order n - 1
-    random_vector calls would, and is tested through the block, a lookup in
-    is_invertible_cached.
+    random_vector calls would, and is tested through the rank of the block.
+    Those blocks rarely repeat, so the test goes to rank directly rather
+    than through is_invertible_cached, whose entries it would only evict.
     """
     if len(u) != len(w):
         raise ValueError(f"length mismatch: {len(u)} vs {len(w)}")
@@ -648,7 +652,7 @@ def random_invertible_mapping(u: Vector, w: Vector, q: int, rng: Random) -> Matr
             entries = random_below(q, size, rng)  # columns 2..n of T, one after another
             # the entries after the first of each column are the block's
             # columns, and a matrix is invertible with its transpose
-            if is_invertible_cached(tuple([entries[i + 1 : i + n] for i in range(0, size, n)]), q):
+            if rank([entries[i + 1 : i + n] for i in range(0, size, n)], q) == n - 1:
                 break
         drawn = [entries[i : i + n] for i in range(0, size, n)]
     # P_w T has columns P_w e_1 = w and the P_w d for the drawn columns d of

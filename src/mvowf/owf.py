@@ -99,7 +99,11 @@ Inverter = Callable[[OwfKey, OwfImage], Matrix | None]
 
 
 def default_delta(q: int, n: int) -> int:
-    """Key-length surplus ceil(A ln^2 n) with A = 5 / ln^2 q."""
+    """Key-length surplus ceil(A ln^2 n) with A = 5 / ln^2 q.
+
+    Raises ValueError unless q is a prime below 256, before ln q is taken.
+    """
+    validate_modulus(q)
     return math.ceil(5.0 / math.log(q) ** 2 * math.log(n) ** 2)
 
 

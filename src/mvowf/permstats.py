@@ -102,7 +102,7 @@ def signature_table(
     """Class sizes of the multiset under the projection w -> (<g, w>)_g."""
     classes: dict[tuple[int, ...], int] = {}
     # an empty family (m = 1) gives every w the empty signature
-    for sig in mat_vecs(gs, ws, q) if gs else [()] * len(ws):
+    for sig in mat_vecs(gs, ws, q):
         classes[sig] = classes.get(sig, 0) + 1
     return classes
 

@@ -84,6 +84,13 @@ def test_invert_not_in_image_exit_code(tmp_path):
     assert run(["invert", str(inst)]) == 1
 
 
+def test_invert_without_image_exits_2(tmp_path, capsys):
+    key_file = tmp_path / "k.json"
+    assert run(["keygen", "--q", "2", "--n", "3", "--seed", "1", "--out", str(key_file)]) == 0
+    assert run(["invert", str(key_file)]) == 2
+    assert capsys.readouterr() == ("", "error: instance file has no image W to invert\n")
+
+
 def test_invert_budget_exit_code(tmp_path):
     key_file = tmp_path / "k.json"
     run(["keygen", "--q", "2", "--n", "4", "--delta", "8", "--seed", "5", "--out", str(key_file)])
@@ -141,6 +148,21 @@ def test_empty_modulus_range_exits_2(command, q, capsys):
     assert capsys.readouterr() == ("", "error: empty range for randrange()\n")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["keygen", "--n", "3"],
+        ["hsp-check", "--n", "2"],
+        ["hardcore-trace", "--n", "2"],
+        ["hardcore-bilinear", "--n", "3"],
+    ],
+)
+def test_modulus_one_without_delta_exits_2(command, capsys):
+    """The default delta divides by ln^2 q, so it checks the modulus first."""
+    assert run(command + ["--q", "1", "--seed", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: modulus 1 is not prime\n")
+
+
 @pytest.mark.parametrize("q", ["1", "4", "6", "257"])
 def test_gi_solve_rejects_bad_modulus(q, tmp_path, capsys):
     graph_file = tmp_path / "g.txt"
@@ -170,6 +192,15 @@ def test_gi_solve_negative(tmp_path):
     f1.write_text(dump_graph(path4))
     f2.write_text(dump_graph(star4))
     assert run(["gi-solve", str(f1), str(f2), "--q", "3", "--seed", "1"]) == 1
+
+
+def test_gi_solve_empty_graphs(tmp_path, capsys):
+    """Two graphs with no vertices are isomorphic by the empty permutation."""
+    f = tmp_path / "empty.txt"
+    f.write_text("0 0\n")
+    for q in ("2", "3"):
+        assert run(["gi-solve", str(f), str(f), "--q", q]) == 0
+        assert capsys.readouterr() == ("\n", "")
 
 
 def test_gi_encode(tmp_path):
@@ -297,6 +328,16 @@ def test_hardcore_seeded_stdout(args, stdout, capsys):
     sampled scoring (q = 3, k = 9) and exact scoring (q = 2, k = 4)."""
     assert run(args) == 0
     assert capsys.readouterr().out == stdout
+
+
+def test_hardcore_bilinear_budget_exit_code(capsys):
+    """A run that breaks --budget still prints its report; the engine counts
+    the node that breaks the budget, so assignments_tried is budget + 1."""
+    args = ["hardcore-bilinear", "--q", "2", "--n", "4", "--delta", "4", "--seed", "11"]
+    assert run(args + ["--budget", "3"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["assignments_tried"] == 4
+    assert doc["recovered"] is False
 
 
 @pytest.mark.parametrize(

@@ -655,6 +655,10 @@ def test_mat_vecs_lane_bound(q):
 def test_mat_vecs_empty_batch_and_mismatch():
     assert mat_vecs(identity(3), [], 5) == []
     for q in (2, 3):
+        # a matrix with no rows maps every vector, of any length, to ()
+        assert mat_vecs((), [(1, 0), (0, 1, 1)], q) == [(), ()]
+        assert mat_vecs((), [], q) == []
+    for q in (2, 3):
         with pytest.raises(ValueError):
             mat_vecs(identity(3), [(1, 0, 0), (1, 0)], q)
         with pytest.raises(ValueError):

@@ -104,6 +104,13 @@ def test_decide_isomorphic_examples():
     assert brute_force_iso(PATH3, PATH3) == (0, 1, 2)  # identity comes first
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_decide_isomorphic_empty_graphs(q):
+    """The 0 x 0 witness maps the empty V onto the empty W: the empty permutation."""
+    empty = SimpleGraph.from_edges(0, [])
+    assert decide_isomorphic(empty, empty, q) == ()
+
+
 def test_relabeled_pair_solution_is_permutation_matrix():
     rng = Random(12)
     g1 = random_graph(5, rng)

@@ -857,6 +857,20 @@ def test_bilinear_invert_perfect_predictor():
     assert wins == 8
 
 
+def test_bilinear_invert_empty_decode():
+    """A constant predictor decodes no row for the first family vector, so
+    the reduction gives up before the search and says why in stats."""
+    rng = Random(0)
+    key = keygen(2, 4, delta=4, rng=rng)
+    image = evaluate(key, random_invertible(4, 2, rng))
+    predictor = Predictor(lambda ctx: 1, 0.5, 2)
+    stats = {}
+    a, b = (1, 0, 0, 0), (0, 1, 0, 0)
+    assert bilinear_invert(key, image, predictor, a, b, 0.5, rng, stats=stats) is None
+    assert stats["empty_decode"] is True
+    assert stats["assignments_tried"] == 0
+
+
 @pytest.mark.parametrize("q, n", [(2, 4), (3, 3)])
 def test_bilinear_invert_decodes_exactly_below_cap(q, n, monkeypatch):
     """Each decode asks every nonzero y once: at most |family| (q^n - 1) t-queries."""

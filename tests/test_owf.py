@@ -178,6 +178,12 @@ def test_consistent_permutations_cap():
     assert len(found.witnesses) == 2
 
 
+def test_consistent_permutations_node_budget():
+    key = OwfKey(q=2, n=2, vectors=((1, 0), (0, 1), (1, 1)))
+    found = consistent_permutations(key, node_budget=1)
+    assert not found.complete
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_witness_count_matches_gl_scan(q):
     """Cross-oracle: witness matrices equal {K in GL_2 : K*V = V as multisets}."""
