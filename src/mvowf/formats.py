@@ -62,7 +62,14 @@ def parse_matrix(text: str, q: int) -> Matrix:
     return tuple(rows)
 
 
+def _check_n(n) -> None:
+    # the writer checks what the reader checks, so no written instance is unreadable
+    if not isinstance(n, int) or n < 1:
+        raise FormatError(f"n must be a positive integer, got {n!r}")
+
+
 def instance_to_dict(key: OwfKey, image: OwfImage | None = None) -> dict:
+    _check_n(key.n)
     doc = {
         "schema": INSTANCE_SCHEMA,
         "q": key.q,
@@ -95,8 +102,7 @@ def parse_instance(text: str) -> tuple[OwfKey, OwfImage | None]:
     # the bound comes first: is_prime trial-divides up to sqrt(q)
     if not (isinstance(q, int) and q < 256 and is_prime(q)):
         raise FormatError(f"q must be a prime integer below 256, got {q!r}")
-    if not isinstance(n, int) or n < 1:
-        raise FormatError(f"n must be a positive integer, got {n!r}")
+    _check_n(n)
     if not isinstance(doc["V"], list) or len(doc["V"]) != m:
         raise FormatError(f"V must list exactly m = {m} vectors")
     seed = doc.get("seed")

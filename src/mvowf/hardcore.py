@@ -228,17 +228,22 @@ def goldreich_levin_f2(
     Classic list decoder: t reference points with guessed values, one
     majority vote per coordinate over N pairwise independent subset sums,
     those of masks 1..N, where N is the smallest odd integer at least
-    k (1 - 4 epsilon^2) / (4 epsilon^2 delta), delta = 1 - confidence, and
+    k (1 - 4 epsilon^2) / (8 epsilon^2 delta), delta = 1 - confidence, and
     t = N.bit_length(), the fewest references that give N nonzero masks;
-    t is capped at 16 and N with it at 2^16 - 1.  The votes of all 2^t
-    guesses at once are one in-place Walsh-Hadamard transform of the +-1
-    votes, the unused masks left at 0 (Goldreich-Levin 1989,
-    Kushilevitz-Mansour 1993): afterwards entry b of coordinate i is
-    N - 2 * (subsets voting h_i = 1 under guess b), which is odd, so the
-    majority has no ties.  Any form with the stated agreement lands in the
-    output with probability at least `confidence`; survivors are re-checked against fresh samples and kept
-    above agreement 1/2 + epsilon/2, by falling agreement, ties in
-    lexicographic order.  epsilon must lie in (0, 1/2].
+    t is capped at 16 and N with it at 2^t - 1.  That N leaves at most one
+    coordinate's majority wrong under the right guess, with probability at
+    least `confidence`, so each distinct majority form b stands for itself
+    and its k neighbours b + e_i.  The votes of all 2^t guesses at once are
+    one in-place Walsh-Hadamard transform of the +-1 votes, the unused
+    masks left at 0 (Goldreich-Levin 1989, Kushilevitz-Mansour 1993):
+    afterwards entry b of coordinate i is N - 2 * (subsets voting h_i = 1
+    under guess b), which is odd, so the majority has no ties.  The B
+    majority forms and their neighbours are re-checked against fresh
+    samples, on as many as a union bound over B (k + 1) forms needs, and
+    kept above agreement 1/2 + epsilon/2, by falling agreement, ties in
+    lexicographic order (see _ranked_with_neighbours).  Any form with the
+    stated agreement lands in the output with probability at least
+    `confidence`.  epsilon must lie in (0, 1/2].
     """
     import numpy as np  # loaded by the decoders only, see _ranked
 
@@ -252,9 +257,11 @@ def goldreich_levin_f2(
     eps2 = epsilon * epsilon
     # each vote is right with probability p >= 1/2 + eps, so by Chebyshev
     # over pairwise independent votes a majority of N fails with probability
-    # at most p(1 - p) / (N (p - 1/2)^2) <= (1 - 4 eps^2) / (4 N eps^2);
-    # a union over k coordinates needs N = votes >= needed
-    votes = math.ceil(k * max(0.0, 1 - 4 * eps2) / (4 * eps2 * delta)) | 1
+    # at most p(1 - p) / (N (p - 1/2)^2) <= (1 - 4 eps^2) / (4 N eps^2); by
+    # Markov on the number of wrong majorities, two or more are wrong with
+    # probability at most half its mean, k (1 - 4 eps^2) / (8 N eps^2), so
+    # N = votes >= needed keeps that below delta
+    votes = math.ceil(k * max(0.0, 1 - 4 * eps2) / (8 * eps2 * delta)) | 1
     # masks 1..N read only the first N.bit_length() references
     t = min(16, votes.bit_length())
     votes = min(2**t - 1, votes)
@@ -278,17 +285,61 @@ def goldreich_levin_f2(
         low += high
         high *= -2
         high += low  # (low, high) -> (low + high, low - high)
-    candidates = np.unique((signs < 0).T, axis=0).view(np.uint8)
+    bases = np.unique((signs < 0).T, axis=0).view(np.uint8)
 
     # re-check on fresh points.  Sized so a true form survives and junk from
     # wrong guesses is unlikely to pass even after a union bound over all
-    # candidates.
+    # B (k + 1) forms.
     n_check = max(
         64,
-        math.ceil(2 * math.log(2 * max(len(candidates), 2) / delta) / eps2),
+        math.ceil(2 * math.log(2 * max(len(bases) * (k + 1), 2) / delta) / eps2),
     )
     points = [_to_bits(rng.getrandbits(k), k) for _ in range(n_check)]
-    return _ranked(oracle, points, 2, epsilon, len(candidates), candidates.__getitem__)
+    return _ranked_with_neighbours(oracle, points, epsilon, bases)
+
+
+def _ranked_with_neighbours(
+    oracle: Callable[[Vector], int],
+    points: list[Vector],
+    epsilon: float,
+    bases: np.ndarray,
+) -> list[Vector]:
+    """The forms b and b + e_i (b a row of the uint8 array `bases`, e_i a
+    unit vector) agreeing with the oracle on at least 1/2 + epsilon/2 of
+    points, over F_2.
+
+    With A[b, p] = [<b, p> = answer_p] and P the points as rows,
+    hits(b) = sum_p A[b, p] and hits(b + e_i) = hits(b) + #{p : p_i = 1}
+    - 2 (A P)[b, i], since adding e_i flips <b, p> exactly where p_i = 1.
+    So the neighbours are scored without being listed: per block of bases,
+    one float32 product gives A as _ranked does and a second gives A P,
+    exact while there are fewer than 2^24 points, each block within
+    _BLOCK_ELEMENTS.  The oracle is asked at each point once, in order;
+    each form comes out once, by falling agreement, ties in lexicographic
+    order.
+    """
+    import numpy as np
+
+    answers = np.fromiter(map(oracle, points), dtype=np.int32, count=len(points))
+    pts = np.array(points, dtype=np.float32)  # (len(points), k)
+    ones = pts.sum(axis=0)  # ones[i] = #{p : p_i = 1}
+    rows = max(1, _BLOCK_ELEMENTS // max(pts.shape))
+    need = 0.5 + epsilon / 2
+    kept: dict[Vector, int] = {}
+    for start in range(0, len(bases), rows):
+        block = bases[start : start + rows]
+        scores = (block.astype(np.float32) @ pts.T).astype(np.int32) % 2
+        agree = (scores == answers).astype(np.float32)
+        hits = agree.sum(axis=1)
+        flipped = (hits[:, None] + ones - 2 * (agree @ pts)).astype(np.int32)
+        hits = hits.astype(np.int32)
+        base_rows = np.flatnonzero(hits / len(points) >= need)
+        kept.update(zip(map(tuple, block[base_rows].tolist()), hits[base_rows].tolist()))
+        rows_i, cols_i = np.nonzero(flipped / len(points) >= need)
+        neighbours = block[rows_i]
+        neighbours[np.arange(len(rows_i)), cols_i] ^= 1
+        kept.update(zip(map(tuple, neighbours.tolist()), flipped[rows_i, cols_i].tolist()))
+    return sorted(kept, key=lambda h: (-kept[h], h))
 
 
 def gl_decode_exhaustive(
@@ -374,7 +425,7 @@ def _ranked(
     imported here and in the two decoders, not with the module: the
     matching engine and the GL_n scans never use it, and a process that runs
     only them saves the import (about 14 MB of resident memory and 0.15 s
-    of CPU with numpy 2.4).
+    of CPU with numpy 2.4).  _ranked_with_neighbours imports it likewise.
     """
     import numpy as np
 

@@ -124,6 +124,8 @@ def keygen(
     if delta is None:
         delta = default_delta(q, n)
     m = n + delta
+    if m < n:  # before any draw, so the message names m itself
+        raise ValueError(f"need m >= n, got m = {m}, n = {n}")
     vectors = tuple(random_vector(n, q, rng) for _ in range(m))
     return OwfKey(q=q, n=n, vectors=vectors, seed=seed)
 

@@ -331,12 +331,15 @@ def reference_gl_sizes(k, epsilon, confidence=0.9):
     goldreich_levin_f2.
 
     N is the smallest odd integer at least k (1 - 4 epsilon^2) /
-    (4 epsilon^2 delta), the Chebyshev bound for votes right with
-    probability 1/2 + epsilon; t is the least t with 2^t - 1 >= N, the
-    references masks 1..N read, capped at 16, and N is capped at 2^t - 1.
+    (8 epsilon^2 delta): by Chebyshev each majority of votes right with
+    probability 1/2 + epsilon is wrong with probability at most
+    (1 - 4 epsilon^2) / (4 N epsilon^2), and by Markov two or more of the
+    k are wrong with probability at most half the sum.  t is the least t
+    with 2^t - 1 >= N, the references masks 1..N read, capped at 16, and
+    N is capped at 2^t - 1.
     """
     delta = max(1e-9, 1.0 - confidence)
-    needed = k * max(0.0, 1 - 4 * epsilon * epsilon) / (4 * epsilon * epsilon * delta)
+    needed = k * max(0.0, 1 - 4 * epsilon * epsilon) / (8 * epsilon * epsilon * delta)
     n_votes = 2 * math.ceil((needed - 1) / 2) + 1
     t = next(t for t in range(1, 17) if 2**t - 1 >= n_votes or t == 16)
     return t, min(2**t - 1, n_votes)
@@ -387,15 +390,21 @@ def reference_exact_decode(answer, k, q, epsilon, points=None):
 def reference_agreements(candidates, points, answers, q):
     """Per candidate h, the number of points x with <h, x> mod q == answer.
 
-    At q = 2 one parity bit at a time on packed ints, else one sum of
-    products at a time.
+    At q = 2 on bit slices, Python ints with bit p for point p: <h, x> over
+    all points is the XOR of the coordinate slices h selects, compared with
+    the answers' slice at once.  Else one sum of products at a time.
     """
     if q == 2:
-        packed = [sum(bit << i for i, bit in enumerate(x)) for x in points]
+        k = max(map(len, points), default=0)
+        slices = [sum(x[i] << p for p, x in enumerate(points)) for i in range(k)]
+        target = sum(y << p for p, y in enumerate(answers))
         out = []
         for h in candidates:
-            h_int = sum(bit << i for i, bit in enumerate(h))
-            out.append(sum(((h_int & x).bit_count() & 1) == y for x, y in zip(packed, answers)))
+            values = 0
+            for bit, column in zip(h, slices):
+                if bit:
+                    values ^= column
+            out.append(len(points) - (values ^ target).bit_count())
         return out
     return [
         sum(sum(map(mul, h, x)) % q == y for x, y in zip(points, answers))
@@ -427,8 +436,17 @@ def reference_gl_candidates(votes, t):
     return candidates
 
 
+def reference_gl_neighbourhoods(bases):
+    """The set of the bases and of every form one coordinate away from one."""
+    forms = set(bases)
+    for b in bases:
+        forms.update(b[:i] + (1 - b[i],) + b[i + 1 :] for i in range(len(b)))
+    return forms
+
+
 def reference_gl_check_points(n_candidates, epsilon, confidence=0.9):
-    """How many fresh points goldreich_levin_f2 re-checks n_candidates on."""
+    """How many fresh points goldreich_levin_f2 re-checks on, for
+    n_candidates forms in its union bound."""
     delta = max(1e-9, 1.0 - confidence)
     return max(
         64,
@@ -440,8 +458,9 @@ def reference_goldreich_levin_f2(oracle, k, epsilon, rng, confidence=0.9):
     """goldreich_levin_f2 with guesses from a correlation matrix.
 
     Queries the same points in the same order and draws the same values
-    from rng.  The guesses' forms come from reference_gl_candidates; the
-    survivors are re-checked by reference_agreements.
+    from rng.  The guesses' majority forms come from
+    reference_gl_candidates; they and all their neighbours, listed by
+    reference_gl_neighbourhoods, are re-checked by reference_agreements.
     """
     if k > 400:
         raise ValueError("decode dimension capped at 400")
@@ -459,13 +478,13 @@ def reference_goldreich_levin_f2(oracle, k, epsilon, rng, confidence=0.9):
         sums[:, i] ^= 1
         votes[i] = [oracle(x) for x in map(tuple, sums.tolist())]
         sums[:, i] ^= 1
-    candidates = reference_gl_candidates(votes, t)
+    bases = reference_gl_candidates(votes, t)
 
-    n_check = reference_gl_check_points(len(candidates), epsilon, confidence)
+    n_check = reference_gl_check_points(len(bases) * (k + 1), epsilon, confidence)
     draws = [rng.getrandbits(k) for _ in range(n_check)]
     points = [tuple((x >> i) & 1 for i in range(k)) for x in draws]
     answers = [oracle(x) for x in points]
-    ordered = sorted(candidates)
+    ordered = sorted(reference_gl_neighbourhoods(bases))
     scored = []
     for h, hits in zip(ordered, reference_agreements(ordered, points, answers, 2)):
         frac = hits / n_check

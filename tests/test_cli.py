@@ -203,6 +203,23 @@ def test_gi_solve_empty_graphs(tmp_path, capsys):
         assert capsys.readouterr() == ("\n", "")
 
 
+def test_keygen_reports_m_below_n_before_drawing(capsys):
+    """m = n + delta is checked before any vector is drawn, so the message
+    names m itself, negative too."""
+    assert run(["keygen", "--q", "2", "--n", "2", "--delta", "-3", "--seed", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: need m >= n, got m = -1, n = 2\n")
+
+
+def test_gi_encode_rejects_empty_graph(tmp_path, capsys):
+    """An instance with n = 0 could not be read back, so none is written."""
+    f = tmp_path / "empty.txt"
+    f.write_text("0 0\n")
+    out = tmp_path / "inst.json"
+    assert run(["gi-encode", str(f), "--q", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: n must be a positive integer, got 0\n")
+    assert not out.exists()
+
+
 def test_gi_encode(tmp_path):
     g = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
     f = tmp_path / "g.txt"
@@ -303,9 +320,9 @@ def test_hardcore_bilinear_cli(capsys):
     [
         (
             ["hardcore-trace", "--q", "2", "--n", "4", "--seed", "1"],
-            '{\n  "candidates": 1,\n  "epsilon": 0.5,\n  "invertible_queries": 15612,\n'
-            '  "m": 24,\n  "matches_planted": true,\n  "n": 4,\n  "predictor_queries": 10898,\n'
-            '  "q": 2,\n  "recovered": true,\n  "rounds": 1,\n  "singular_queries": 34408\n}\n',
+            '{\n  "candidates": 1,\n  "epsilon": 0.5,\n  "invertible_queries": 7767,\n'
+            '  "m": 24,\n  "matches_planted": true,\n  "n": 4,\n  "predictor_queries": 6291,\n'
+            '  "q": 2,\n  "recovered": true,\n  "rounds": 1,\n  "singular_queries": 17924\n}\n',
         ),
         (
             ["hardcore-trace", "--q", "3", "--n", "3", "--seed", "1"],

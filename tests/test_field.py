@@ -224,6 +224,18 @@ def test_out_of_range_entries_rejected(call, q):
             call((bad, (0, 1)), q)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_check_entries_names_what_it_checked(q):
+    """Every entry in [0, q) passes, in rows of any shape; any one entry
+    outside fails with the caller's noun in the message."""
+    field.check_entries([], q, "matrix")
+    field.check_entries([(), tuple(range(q)), (q - 1,) * 7], q, "matrix")
+    for bad in (-1, q, 2 * q, q + 0.5):
+        with pytest.raises(ValueError) as exc:
+            field.check_entries([(0, 1), (1, bad, 0)], q, "image")
+        assert str(exc.value) == f"image entry out of range for q = {q}"
+
+
 def test_random_invertible_gl1_f2():
     rng = Random(0)
     assert all(random_invertible(1, 2, rng) == ((1,),) for _ in range(20))

@@ -15,6 +15,7 @@ from conftest import (
     reference_exact_decode,
     reference_gl_candidates,
     reference_gl_check_points,
+    reference_gl_neighbourhoods,
     reference_gl_sizes,
     reference_gl_vote_queries,
     reference_goldreich_levin_f2,
@@ -386,13 +387,13 @@ def test_gl_decode_guarantee_at_worst_case(k, epsilon):
     planted form must be in the output on at least 36 of 40 decoder seeds.
     The oracle draws from a separate stream: one seeded like the decoder's
     would hand it check points from the very words that chose the wrong
-    points.  Each run asks k N vote queries, N odd and between the Chebyshev
-    bound and 2^t - 1, then re-checks on as many points as its candidate
-    count calls for.
+    points.  Each run asks k N vote queries, N odd and between the
+    Chebyshev-Markov bound and 2^t - 1, then re-checks on as many points as
+    its B majority forms and their B k neighbours call for.
     """
     confidence = 0.9
     t, n_votes = reference_gl_sizes(k, epsilon, confidence)
-    needed = k * (1 - 4 * epsilon * epsilon) / (4 * epsilon * epsilon * (1 - confidence))
+    needed = k * (1 - 4 * epsilon * epsilon) / (8 * epsilon * epsilon * (1 - confidence))
     assert n_votes % 2 == 1 and needed <= n_votes <= 2**t - 1
     points = [tuple((x >> j) & 1 for j in range(k)) for x in range(2**k)]
     wins = 0
@@ -409,8 +410,8 @@ def test_gl_decode_guarantee_at_worst_case(k, epsilon):
 
         wins += h in goldreich_levin_f2(oracle, k, epsilon, Random(seed), confidence)
         votes = np.array(answers[: k * n_votes], dtype=np.uint8).reshape(k, n_votes)
-        n_candidates = len(reference_gl_candidates(votes, t))
-        n_check = reference_gl_check_points(n_candidates, epsilon, confidence)
+        n_bases = len(reference_gl_candidates(votes, t))
+        n_check = reference_gl_check_points(n_bases * (k + 1), epsilon, confidence)
         assert len(answers) == k * n_votes + n_check
     assert wins >= 36
 
@@ -435,12 +436,12 @@ class _CountingRandom(Random):
 
 
 def test_gl_draws_only_the_references_its_votes_read():
-    """At k = 20, eps = 0.45 the Chebyshev bound asks N = 47 votes, on masks
-    1..47, which read 6 references: exactly 6 are drawn before the first
-    query (k / (4 eps^2 delta) would size 8), and the re-check points after
-    the votes."""
+    """At k = 20, eps = 0.45 the Chebyshev-Markov bound asks N = 25 votes,
+    on masks 1..25, which read 5 references: exactly 5 are drawn before the
+    first query (k / (8 eps^2 delta) would size 7), and the re-check points
+    after the votes."""
     k, epsilon = 20, 0.45
-    assert reference_gl_sizes(k, epsilon) == (6, 47)
+    assert reference_gl_sizes(k, epsilon) == (5, 25)
     rng = _CountingRandom(45)
     draws_seen = []
 
@@ -449,9 +450,9 @@ def test_gl_draws_only_the_references_its_votes_read():
         return x[3]
 
     got = goldreich_levin_f2(oracle, k, epsilon, rng)
-    assert draws_seen[: k * 47] == [6] * (k * 47)
-    n_check = len(draws_seen) - k * 47
-    assert n_check >= 64 and draws_seen[k * 47 :] == [6 + n_check] * n_check
+    assert draws_seen[: k * 25] == [5] * (k * 25)
+    n_check = len(draws_seen) - k * 25
+    assert n_check >= 64 and draws_seen[k * 25 :] == [5 + n_check] * n_check
     assert got[0] == tuple(int(i == 3) for i in range(k))
 
 
@@ -497,6 +498,55 @@ def test_recheck_matches_scalar_reference(inputs):
     assert calls == points
     counts = reference_agreements(candidates, points, answers, q)
     kept = [(-c, h) for c, h in zip(counts, candidates) if c / len(points) >= 1 / q + epsilon / 2]
+    assert got == [h for _, h in sorted(kept)]
+
+
+@st.composite
+def neighbourhood_inputs(draw):
+    """Distinct bases, check points and answers for the neighbour re-check,
+    plus a block size."""
+    k = draw(st.integers(1, 70))
+    n_check = draw(st.integers(1, 60))
+    rows = st.integers(0, 2**k - 1).map(lambda x: tuple(x >> i & 1 for i in range(k)))
+    bases = sorted(draw(st.sets(rows, min_size=1, max_size=30)))
+    points = draw(st.lists(rows, min_size=n_check, max_size=n_check))
+    answers = draw(st.lists(st.integers(0, 1), min_size=n_check, max_size=n_check))
+    # a threshold 1/2 + epsilon/2 that some count c reaches exactly, or 0
+    at_count = st.integers(0, n_check).map(lambda c: 2 * c / n_check - 1)
+    epsilon = draw(at_count | st.just(-1.0))
+    block_rows = draw(st.integers(1, 40))
+    return k, bases, points, answers, epsilon, block_rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(neighbourhood_inputs())
+def test_neighbour_scores_match_explicit_neighbours(inputs):
+    """Scoring b + e_i from hits(b) and the product A P equals counting the
+    agreements of every explicitly listed neighbour.
+
+    The oracle is asked at each point once, in order; each form of the
+    neighbourhoods comes out once, by falling count, ties in lexicographic
+    order.  k crosses 64 bits, the thresholds sit at exact counts (or at 0,
+    which keeps every form), and the block budget is shrunk so that most
+    examples split the bases over several blocks.
+    """
+    k, bases, points, answers, epsilon, block_rows = inputs
+    calls = []
+    answer = iter(answers)
+
+    def oracle(x):
+        calls.append(x)
+        return next(answer)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hardcore, "_BLOCK_ELEMENTS", block_rows * max(k, len(points)))
+        got = hardcore._ranked_with_neighbours(
+            oracle, points, epsilon, np.array(bases, dtype=np.uint8)
+        )
+    assert calls == points
+    forms = sorted(reference_gl_neighbourhoods(bases))
+    counts = reference_agreements(forms, points, answers, 2)
+    kept = [(-c, h) for c, h in zip(counts, forms) if c / len(points) >= 0.5 + epsilon / 2]
     assert got == [h for _, h in sorted(kept)]
 
 
@@ -829,6 +879,19 @@ def test_trace_invert_decodes_exactly_below_cap(q, n, monkeypatch):
     assert stats["invertible_queries"] == 2 * gl_order(n, q)
     assert stats["invertible_queries"] + stats["singular_queries"] == 2 * q ** (n * n)
     assert predictor.query_count == gl_order(n, q)
+
+
+def test_trace_invert_past_exhaustive_scale():
+    """At q = 2, n = 5 the decoder is Goldreich-Levin on 2^25 points, and the
+    predictor sees under 1% of GL_5(F_2) (9,999,360 elements) before M0 is
+    recovered."""
+    rng = Random(35)
+    key = injective_key(2, 5, rng)
+    m0 = random_invertible(5, 2, rng)
+    image = evaluate(key, m0)
+    predictor = make_noisy_predictor(make_trace_truth(m0, 2), 0.5, 2, rng)
+    assert trace_invert(key, image, predictor, 0.5, rng) == m0
+    assert predictor.query_count < gl_order(5, 2) / 100
 
 
 def test_trace_invert_q3():
