@@ -10,6 +10,7 @@ be extracted faster than exhaustively searching a hidden minor.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -225,25 +226,33 @@ def goldreich_levin_f2(
 ) -> list[Vector]:
     """Linear forms over F_2^k agreeing with the oracle on a 1/2 + epsilon fraction.
 
-    Classic list decoder: t reference points with guessed values, one
-    majority vote per coordinate over N pairwise independent subset sums,
-    those of masks 1..N, where N is the smallest odd integer at least
-    k (1 - 4 epsilon^2) / (8 epsilon^2 delta), delta = 1 - confidence, and
-    t = N.bit_length(), the fewest references that give N nonzero masks;
-    t is capped at 16 and N with it at 2^t - 1.  That N leaves at most one
-    coordinate's majority wrong under the right guess, with probability at
-    least `confidence`, so each distinct majority form b stands for itself
-    and its k neighbours b + e_i.  The votes of all 2^t guesses at once are
-    one in-place Walsh-Hadamard transform of the +-1 votes, the unused
-    masks left at 0 (Goldreich-Levin 1989, Kushilevitz-Mansour 1993):
-    afterwards entry b of coordinate i is N - 2 * (subsets voting h_i = 1
-    under guess b), which is odd, so the majority has no ties.  The B
-    majority forms and their neighbours are re-checked against fresh
-    samples, on as many as a union bound over B (k + 1) forms needs, and
-    kept above agreement 1/2 + epsilon/2, by falling agreement, ties in
-    lexicographic order (see _ranked_with_neighbours).  Any form with the
-    stated agreement lands in the output with probability at least
-    `confidence`.  epsilon must lie in (0, 1/2].
+    Classic list decoder, run in P independent passes with delta = 1 -
+    confidence split between them: P is the integer minimising
+    P delta^(-1/P) (2 at confidence 0.9, 3 at 0.95), and each pass fails
+    with probability at most delta_pass = delta^(1/P), so all P fail with
+    probability at most delta.  A pass draws t fresh reference points with
+    guessed values and takes one majority vote per coordinate over N
+    pairwise independent subset sums, those of masks 1..N, where N is the
+    smallest odd integer at least k (1 - 4 epsilon^2) / (12 epsilon^2
+    delta_pass), and t = N.bit_length(), the fewest references that give
+    N nonzero masks; t is capped at 16 and N with it at 2^t - 1.  That N
+    leaves at most two coordinates' majorities wrong under the right guess,
+    with probability at least 1 - delta_pass, so each distinct majority form
+    b stands for itself, its k neighbours b + e_i and its k (k - 1) / 2
+    neighbours b + e_i + e_j.  The votes of all 2^t guesses at once are one
+    in-place Walsh-Hadamard transform of the +-1 votes, the unused masks
+    left at 0 (Goldreich-Levin 1989, Kushilevitz-Mansour 1993): afterwards
+    entry b of coordinate i is N - 2 * (subsets voting h_i = 1 under guess
+    b), which is odd, so the majority has no ties.  The B distinct majority
+    forms of all passes and their neighbourhoods are re-checked once,
+    against fresh samples, on as many as a union bound over
+    B (1 + k + k (k - 1) / 2) forms needs, and kept above agreement
+    1/2 + epsilon/2, by falling agreement, ties in lexicographic order (see
+    _ranked_within_two).  The oracle is asked P k N vote queries, pass by
+    pass, then the re-check points.  Any form with the stated agreement
+    lands in the output with probability at least `confidence`.  epsilon
+    must lie in (0, 1/2] and confidence in (0, 1); either out of range, NaN
+    included, raises ValueError before any query or draw.
     """
     import numpy as np  # loaded by the decoders only, see _ranked
 
@@ -253,18 +262,48 @@ def goldreich_levin_f2(
         raise ValueError("epsilon must be positive")
     if epsilon > 0.5:
         raise ValueError("epsilon must be at most 1/2: agreement cannot exceed 1")
-    delta = max(1e-9, 1.0 - confidence)
+    if not 0 < confidence < 1:  # NaN too
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    delta = 1.0 - confidence
+    # P delta^(-1/P) is convex in P and least at P = ln(1/delta)
+    passes = min(range(1, math.ceil(-math.log(delta)) + 2), key=lambda p: p * delta ** (-1 / p))
     eps2 = epsilon * epsilon
     # each vote is right with probability p >= 1/2 + eps, so by Chebyshev
     # over pairwise independent votes a majority of N fails with probability
     # at most p(1 - p) / (N (p - 1/2)^2) <= (1 - 4 eps^2) / (4 N eps^2); by
-    # Markov on the number of wrong majorities, two or more are wrong with
-    # probability at most half its mean, k (1 - 4 eps^2) / (8 N eps^2), so
-    # N = votes >= needed keeps that below delta
-    votes = math.ceil(k * max(0.0, 1 - 4 * eps2) / (8 * eps2 * delta)) | 1
+    # Markov on the number of wrong majorities, three or more are wrong with
+    # probability at most a third of its mean, k (1 - 4 eps^2) / (12 N eps^2),
+    # so N = votes >= needed keeps that below delta_pass
+    votes = math.ceil(k * max(0.0, 1 - 4 * eps2) / (12 * eps2 * delta ** (1 / passes))) | 1
     # masks 1..N read only the first N.bit_length() references
     t = min(16, votes.bit_length())
     votes = min(2**t - 1, votes)
+    bases = np.unique(
+        np.concatenate([_majority_forms(oracle, k, t, votes, rng) for _ in range(passes)]),
+        axis=0,
+    )
+
+    # re-check on fresh points.  Sized so a true form survives and junk from
+    # wrong guesses is unlikely to pass even after a union bound over all
+    # B (1 + k + k (k - 1) / 2) forms.
+    forms = len(bases) * (1 + k + k * (k - 1) // 2)
+    n_check = max(64, math.ceil(2 * math.log(2 * max(forms, 2) / delta) / eps2))
+    # point p is the k low bits of draw p, bit i at coordinate i, all
+    # unpacked at once
+    raw = b"".join(rng.getrandbits(k).to_bytes(-(-k // 8), "little") for _ in range(n_check))
+    draws = np.frombuffer(raw, dtype=np.uint8).reshape(n_check, -1)
+    points = np.unpackbits(draws, axis=1, count=k, bitorder="little")
+    return _ranked_within_two(oracle, points, epsilon, bases)
+
+
+def _majority_forms(
+    oracle: Callable[[Vector], int], k: int, t: int, votes: int, rng: Random
+) -> np.ndarray:
+    """One pass of goldreich_levin_f2: the 2^t guesses' majority forms, as
+    rows of a uint8 array (0/1 entries), from t references drawn from rng
+    and `votes` queries per coordinate, coordinate by coordinate in mask
+    order."""
+    import numpy as np
 
     refs = [rng.getrandbits(k) for _ in range(t)]
     # sums[mask - 1] = bits of the XOR of the refs the mask selects, all
@@ -285,60 +324,67 @@ def goldreich_levin_f2(
         low += high
         high *= -2
         high += low  # (low, high) -> (low + high, low - high)
-    bases = np.unique((signs < 0).T, axis=0).view(np.uint8)
-
-    # re-check on fresh points.  Sized so a true form survives and junk from
-    # wrong guesses is unlikely to pass even after a union bound over all
-    # B (k + 1) forms.
-    n_check = max(
-        64,
-        math.ceil(2 * math.log(2 * max(len(bases) * (k + 1), 2) / delta) / eps2),
-    )
-    points = [_to_bits(rng.getrandbits(k), k) for _ in range(n_check)]
-    return _ranked_with_neighbours(oracle, points, epsilon, bases)
+    return (signs < 0).T.view(np.uint8)
 
 
-def _ranked_with_neighbours(
+def _ranked_within_two(
     oracle: Callable[[Vector], int],
-    points: list[Vector],
+    points: np.ndarray,
     epsilon: float,
     bases: np.ndarray,
 ) -> list[Vector]:
-    """The forms b and b + e_i (b a row of the uint8 array `bases`, e_i a
-    unit vector) agreeing with the oracle on at least 1/2 + epsilon/2 of
-    points, over F_2.
+    """The forms within distance 2 of a row b of `bases` (b, b + e_i and
+    b + e_i + e_j, e_i a unit vector) agreeing with the oracle on at least
+    1/2 + epsilon/2 of the rows of `points`, over F_2; both are uint8
+    arrays of 0/1 entries, and the oracle is asked at each point once, in
+    order, as a tuple of ints.
 
-    With A[b, p] = [<b, p> = answer_p] and P the points as rows,
-    hits(b) = sum_p A[b, p] and hits(b + e_i) = hits(b) + #{p : p_i = 1}
-    - 2 (A P)[b, i], since adding e_i flips <b, p> exactly where p_i = 1.
-    So the neighbours are scored without being listed: per block of bases,
-    one float32 product gives A as _ranked does and a second gives A P,
-    exact while there are fewer than 2^24 points, each block within
-    _BLOCK_ELEMENTS.  The oracle is asked at each point once, in order;
-    each form comes out once, by falling agreement, ties in lexicographic
+    With A[b, p] = [<b, p> = answer_p], hits(b) = sum_p A[b, p].  Adding
+    e_i + e_j flips <b, p> exactly where p_i != p_j, so with the 0/1 matrix
+    F[p, (i, j)] = [p_i != p_j] of pair differences,
+    hits(b + e_i + e_j) = hits(b) + sum_p F[p, (i, j)] - 2 (A F)[b, (i, j)].
+    A coordinate k that is 0 in every form and point makes the pair (i, k)
+    flip coordinate i alone, so the k (k + 1) / 2 pairs i < j <= k cover
+    both radii and nothing but the survivors is listed.  Per block of bases
+    one float32 product gives A as _ranked does, and per block of pairs one
+    more gives A F, exact while there are fewer than 2^24 points; the
+    blocks of bases, of F and of A F each stay within _BLOCK_ELEMENTS.
+    Each form comes out once, by falling agreement, ties in lexicographic
     order.
     """
     import numpy as np
 
-    answers = np.fromiter(map(oracle, points), dtype=np.int32, count=len(points))
-    pts = np.array(points, dtype=np.float32)  # (len(points), k)
-    ones = pts.sum(axis=0)  # ones[i] = #{p : p_i = 1}
-    rows = max(1, _BLOCK_ELEMENTS // max(pts.shape))
-    need = 0.5 + epsilon / 2
+    n_points, k = points.shape
+    answers = np.fromiter(map(oracle, map(tuple, points.tolist())), dtype=np.int32, count=n_points)
+    # forms and points with the always-0 coordinate k appended
+    forms = np.zeros((len(bases), k + 1), dtype=np.uint8)
+    forms[:, :k] = bases
+    pts = np.zeros((n_points, k + 1), dtype=np.uint8)
+    pts[:, :k] = points
+    pts_t = pts.T.astype(np.float32)
+    first, second = np.triu_indices(k + 1, 1)
+    rows = max(1, _BLOCK_ELEMENTS // max(n_points, k + 1))
+    cols = max(1, _BLOCK_ELEMENTS // max(n_points, min(rows, len(bases))))
+    # the fewest hits h with h / n_points >= 1/2 + epsilon/2
+    least = bisect.bisect_left(range(n_points + 1), 0.5 + epsilon / 2, key=lambda h: h / n_points)
     kept: dict[Vector, int] = {}
-    for start in range(0, len(bases), rows):
-        block = bases[start : start + rows]
-        scores = (block.astype(np.float32) @ pts.T).astype(np.int32) % 2
+    for start in range(0, len(forms), rows):
+        block = forms[start : start + rows]
+        scores = (block.astype(np.float32) @ pts_t).astype(np.int32) & 1
         agree = (scores == answers).astype(np.float32)
         hits = agree.sum(axis=1)
-        flipped = (hits[:, None] + ones - 2 * (agree @ pts)).astype(np.int32)
-        hits = hits.astype(np.int32)
-        base_rows = np.flatnonzero(hits / len(points) >= need)
-        kept.update(zip(map(tuple, block[base_rows].tolist()), hits[base_rows].tolist()))
-        rows_i, cols_i = np.nonzero(flipped / len(points) >= need)
-        neighbours = block[rows_i]
-        neighbours[np.arange(len(rows_i)), cols_i] ^= 1
-        kept.update(zip(map(tuple, neighbours.tolist()), flipped[rows_i, cols_i].tolist()))
+        base_rows = np.flatnonzero(hits >= least)
+        base_hits = hits[base_rows].astype(np.int32)
+        kept.update(zip(map(tuple, block[base_rows, :k].tolist()), base_hits.tolist()))
+        for low in range(0, len(first), cols):
+            i, j = first[low : low + cols], second[low : low + cols]
+            flips = (pts[:, i] ^ pts[:, j]).astype(np.float32)
+            moved = (hits[:, None] + flips.sum(axis=0) - 2 * (agree @ flips)).astype(np.int32)
+            rows_c, cols_c = np.nonzero(moved >= least)
+            near = block[rows_c]
+            near[np.arange(len(rows_c)), i[cols_c]] ^= 1
+            near[np.arange(len(rows_c)), j[cols_c]] ^= 1
+            kept.update(zip(map(tuple, near[:, :k].tolist()), moved[rows_c, cols_c].tolist()))
     return sorted(kept, key=lambda h: (-kept[h], h))
 
 
@@ -425,7 +471,7 @@ def _ranked(
     imported here and in the two decoders, not with the module: the
     matching engine and the GL_n scans never use it, and a process that runs
     only them saves the import (about 14 MB of resident memory and 0.15 s
-    of CPU with numpy 2.4).  _ranked_with_neighbours imports it likewise.
+    of CPU with numpy 2.4).  _ranked_within_two imports it likewise.
     """
     import numpy as np
 

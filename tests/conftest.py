@@ -5,7 +5,6 @@ from collections import Counter
 from operator import mul
 from random import Random
 
-import numpy as np
 from hypothesis import settings, strategies as st
 
 from mvowf.field import (
@@ -327,41 +326,60 @@ def reference_stabilizer_parts(n, q):
 
 
 def reference_gl_sizes(k, epsilon, confidence=0.9):
-    """(t, N): the reference points and the votes per coordinate of
-    goldreich_levin_f2.
+    """(P, t, N): the passes, the reference points per pass and the votes
+    per coordinate of goldreich_levin_f2.
 
-    N is the smallest odd integer at least k (1 - 4 epsilon^2) /
-    (8 epsilon^2 delta): by Chebyshev each majority of votes right with
+    P is the least integer minimising P delta^(-1/P), delta = 1 -
+    confidence: P delta^(-1/P) is convex in P, so P grows while the next
+    value is smaller.  Each pass fails with probability at most
+    delta_pass = delta^(1/P), and all P with probability at most delta.  N
+    is the smallest odd integer at least k (1 - 4 epsilon^2) / (12
+    epsilon^2 delta_pass): by Chebyshev each majority of votes right with
     probability 1/2 + epsilon is wrong with probability at most
-    (1 - 4 epsilon^2) / (4 N epsilon^2), and by Markov two or more of the
-    k are wrong with probability at most half the sum.  t is the least t
-    with 2^t - 1 >= N, the references masks 1..N read, capped at 16, and
-    N is capped at 2^t - 1.
+    (1 - 4 epsilon^2) / (4 N epsilon^2), and by Markov three or more of the
+    k are wrong with probability at most a third of the sum.  t is the
+    least t with 2^t - 1 >= N, the references masks 1..N read, capped at
+    16, and N is capped at 2^t - 1.
     """
-    delta = max(1e-9, 1.0 - confidence)
-    needed = k * max(0.0, 1 - 4 * epsilon * epsilon) / (8 * epsilon * epsilon * delta)
+    delta = 1.0 - confidence
+    passes = 1
+    while (passes + 1) * delta ** (-1 / (passes + 1)) < passes * delta ** (-1 / passes):
+        passes += 1
+    delta_pass = delta ** (1 / passes)
+    needed = k * max(0.0, 1 - 4 * epsilon * epsilon) / (12 * epsilon * epsilon * delta_pass)
     n_votes = 2 * math.ceil((needed - 1) / 2) + 1
     t = next(t for t in range(1, 17) if 2**t - 1 >= n_votes or t == 16)
-    return t, min(2**t - 1, n_votes)
+    return passes, t, min(2**t - 1, n_votes)
 
 
-def reference_gl_vote_queries(k, epsilon, rng, confidence=0.9):
-    """The vote-loop query points of goldreich_levin_f2, in call order.
+def reference_gl_pass_queries(k, t, n_votes, rng):
+    """One pass's vote-loop query points, as k lists (coordinate i) of N
+    points (masks 1..N).
 
     Draws the t reference points from rng as the decoder does; then for each
     coordinate i and each subset mask 1..N of them, e_i plus the subset sum,
     with bit j of an int at position j.
     """
-    t, n_votes = reference_gl_sizes(k, epsilon, confidence)
     refs = [rng.getrandbits(k) for _ in range(t)]
     sums = [0] * (n_votes + 1)
     for mask in range(1, len(sums)):
         low = mask & -mask
         sums[mask] = sums[mask ^ low] ^ refs[low.bit_length() - 1]
     return [
-        tuple(((1 << i) ^ sums[mask]) >> j & 1 for j in range(k))
+        [tuple(((1 << i) ^ sums[mask]) >> j & 1 for j in range(k)) for mask in range(1, len(sums))]
         for i in range(k)
-        for mask in range(1, len(sums))
+    ]
+
+
+def reference_gl_vote_queries(k, epsilon, rng, confidence=0.9):
+    """The vote-loop query points of goldreich_levin_f2, in call order: P
+    passes, each with fresh references, coordinate by coordinate."""
+    passes, t, n_votes = reference_gl_sizes(k, epsilon, confidence)
+    return [
+        x
+        for _ in range(passes)
+        for coordinate in reference_gl_pass_queries(k, t, n_votes, rng)
+        for x in coordinate
     ]
 
 
@@ -413,41 +431,46 @@ def reference_agreements(candidates, points, answers, q):
 
 
 def reference_gl_candidates(votes, t):
-    """The distinct majority forms of all 2^t guesses, from a (k, N) array of
-    0/1 votes cast on subset masks 1..N.
+    """The distinct majority forms of all 2^t guesses, from k rows of N 0/1
+    votes cast on subset masks 1..N.
 
-    ones[i, b], the subsets voting h_i = 1 under guess b, comes from a
-    float32 product of the votes with parity(b & mask), built from a parity
-    table in chunks of guesses.
+    On bit slices, Python ints with bit m - 1 for mask m: guess g's value
+    of the subset sum of mask m is parity(g & m), so under guess g the
+    votes on h_i are row i XOR the slice of those parities, and h_i = 1
+    where more than N/2 of them are 1.  The slice of guess g is the XOR of
+    the slices of its bits, built from g without its lowest bit.
     """
-    n_votes = votes.shape[1]
-    votes = votes.astype(np.float32)
-    masks = np.arange(1, n_votes + 1, dtype=np.uint16)
-    parity = np.array([x.bit_count() & 1 for x in range(2**t)], dtype=np.uint8)
-    vote_totals = votes.sum(axis=1)
+    rows = [sum(int(v) << m for m, v in enumerate(row)) for row in votes]
+    n_votes = len(votes[0]) if votes else 0
+    bit_slices = [sum(1 << (m - 1) for m in range(1, n_votes + 1) if m >> j & 1) for j in range(t)]
+    parities = [0] * 2**t
     candidates = set()
-    chunk = max(1, (1 << 22) // n_votes)
-    for start in range(0, 2**t, chunk):
-        guesses = np.arange(start, min(start + chunk, 2**t), dtype=np.uint16)
-        corr = parity[guesses[:, None] & masks[None, :]].astype(np.float32)
-        ones = vote_totals[:, None] + corr.sum(axis=1)[None, :] - 2.0 * (votes @ corr.T)
-        hbits = (ones > n_votes / 2.0).astype(np.uint8)
-        candidates.update(map(tuple, np.unique(hbits.T, axis=0).tolist()))
+    for g in range(2**t):
+        if g:
+            low = g & -g
+            parities[g] = parities[g ^ low] ^ bit_slices[low.bit_length() - 1]
+        candidates.add(tuple(int(2 * (row ^ parities[g]).bit_count() > n_votes) for row in rows))
     return candidates
 
 
 def reference_gl_neighbourhoods(bases):
-    """The set of the bases and of every form one coordinate away from one."""
-    forms = set(bases)
+    """The set of the bases and of every form one or two coordinates away
+    from one."""
+    forms = set()
     for b in bases:
-        forms.update(b[:i] + (1 - b[i],) + b[i + 1 :] for i in range(len(b)))
+        k = len(b)
+        forms.add(b)
+        for i in range(k):
+            one = b[:i] + (1 - b[i],) + b[i + 1 :]
+            forms.add(one)
+            forms.update(one[:j] + (1 - one[j],) + one[j + 1 :] for j in range(i + 1, k))
     return forms
 
 
 def reference_gl_check_points(n_candidates, epsilon, confidence=0.9):
     """How many fresh points goldreich_levin_f2 re-checks on, for
     n_candidates forms in its union bound."""
-    delta = max(1e-9, 1.0 - confidence)
+    delta = 1.0 - confidence
     return max(
         64,
         math.ceil(2 * math.log(2 * max(n_candidates, 2) / delta) / (epsilon * epsilon)),
@@ -455,32 +478,29 @@ def reference_gl_check_points(n_candidates, epsilon, confidence=0.9):
 
 
 def reference_goldreich_levin_f2(oracle, k, epsilon, rng, confidence=0.9):
-    """goldreich_levin_f2 with guesses from a correlation matrix.
+    """goldreich_levin_f2 with guesses counted on bit slices, and each
+    candidate listed and re-checked on its own.
 
     Queries the same points in the same order and draws the same values
-    from rng.  The guesses' majority forms come from
-    reference_gl_candidates; they and all their neighbours, listed by
+    from rng.  Each pass's queries come from reference_gl_pass_queries and
+    its guesses' majority forms from reference_gl_candidates; those of all
+    passes and all their neighbours within distance 2, listed by
     reference_gl_neighbourhoods, are re-checked by reference_agreements.
     """
     if k > 400:
         raise ValueError("decode dimension capped at 400")
     if not 0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
-    t, n_votes = reference_gl_sizes(k, epsilon, confidence)
+    if not 0 < confidence < 1:
+        raise ValueError("confidence must lie in (0, 1)")
+    passes, t, n_votes = reference_gl_sizes(k, epsilon, confidence)
+    bases = set()
+    for _ in range(passes):
+        queries = reference_gl_pass_queries(k, t, n_votes, rng)
+        votes = [[oracle(x) for x in coordinate] for coordinate in queries]
+        bases |= reference_gl_candidates(votes, t)
 
-    refs = [rng.getrandbits(k) for _ in range(t)]
-    masks = np.arange(1, n_votes + 1, dtype=np.uint16)
-    mask_bits = (masks[:, None] >> np.arange(t)) & 1
-    ref_bits = np.array([[(r >> i) & 1 for i in range(k)] for r in refs], dtype=np.int64)
-    sums = ((mask_bits @ ref_bits) & 1).astype(np.uint8)
-    votes = np.empty((k, n_votes), dtype=np.uint8)
-    for i in range(k):
-        sums[:, i] ^= 1
-        votes[i] = [oracle(x) for x in map(tuple, sums.tolist())]
-        sums[:, i] ^= 1
-    bases = reference_gl_candidates(votes, t)
-
-    n_check = reference_gl_check_points(len(bases) * (k + 1), epsilon, confidence)
+    n_check = reference_gl_check_points(len(bases) * (1 + k + k * (k - 1) // 2), epsilon, confidence)
     draws = [rng.getrandbits(k) for _ in range(n_check)]
     points = [tuple((x >> i) & 1 for i in range(k)) for x in draws]
     answers = [oracle(x) for x in points]

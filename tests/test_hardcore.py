@@ -1,5 +1,6 @@
 """Predictor oracles, list decoding, and the two inversion reductions."""
 
+import math
 from dataclasses import FrozenInstanceError
 from operator import mul
 from random import Random
@@ -387,14 +388,15 @@ def test_gl_decode_guarantee_at_worst_case(k, epsilon):
     planted form must be in the output on at least 36 of 40 decoder seeds.
     The oracle draws from a separate stream: one seeded like the decoder's
     would hand it check points from the very words that chose the wrong
-    points.  Each run asks k N vote queries, N odd and between the
-    Chebyshev-Markov bound and 2^t - 1, then re-checks on as many points as
-    its B majority forms and their B k neighbours call for.
+    points.  Each run asks P k N vote queries, P = 2 passes at delta_pass =
+    sqrt(0.1) and N odd and between the Chebyshev-Markov bound and
+    2^t - 1, then re-checks on as many points as the B distinct majority
+    forms of both passes and their neighbourhoods of radius 2 call for.
     """
     confidence = 0.9
-    t, n_votes = reference_gl_sizes(k, epsilon, confidence)
-    needed = k * (1 - 4 * epsilon * epsilon) / (8 * epsilon * epsilon * (1 - confidence))
-    assert n_votes % 2 == 1 and needed <= n_votes <= 2**t - 1
+    passes, t, n_votes = reference_gl_sizes(k, epsilon, confidence)
+    needed = k * (1 - 4 * epsilon * epsilon) / (12 * epsilon * epsilon * 0.1**0.5)
+    assert passes == 2 and n_votes % 2 == 1 and needed <= n_votes <= 2**t - 1
     points = [tuple((x >> j) & 1 for j in range(k)) for x in range(2**k)]
     wins = 0
     for seed in range(40):
@@ -409,10 +411,13 @@ def test_gl_decode_guarantee_at_worst_case(k, epsilon):
             return answers[-1]
 
         wins += h in goldreich_levin_f2(oracle, k, epsilon, Random(seed), confidence)
-        votes = np.array(answers[: k * n_votes], dtype=np.uint8).reshape(k, n_votes)
-        n_bases = len(reference_gl_candidates(votes, t))
-        n_check = reference_gl_check_points(n_bases * (k + 1), epsilon, confidence)
-        assert len(answers) == k * n_votes + n_check
+        bases = set()
+        for start in range(0, passes * k * n_votes, k * n_votes):
+            votes = [answers[start + i * n_votes : start + (i + 1) * n_votes] for i in range(k)]
+            bases |= reference_gl_candidates(votes, t)
+        forms = len(bases) * (1 + k + k * (k - 1) // 2)
+        n_check = reference_gl_check_points(forms, epsilon, confidence)
+        assert len(answers) == passes * k * n_votes + n_check
     assert wins >= 36
 
 
@@ -436,12 +441,13 @@ class _CountingRandom(Random):
 
 
 def test_gl_draws_only_the_references_its_votes_read():
-    """At k = 20, eps = 0.45 the Chebyshev-Markov bound asks N = 25 votes,
-    on masks 1..25, which read 5 references: exactly 5 are drawn before the
-    first query (k / (8 eps^2 delta) would size 7), and the re-check points
-    after the votes."""
+    """At k = 20, eps = 0.45 and confidence 0.9 the decoder runs 2 passes at
+    delta_pass = sqrt(0.1), and the Chebyshev-Markov bound asks N = 5 votes
+    a pass, on masks 1..5, which read 3 references: exactly 3 are drawn
+    before each pass's first query (k / (12 eps^2 delta_pass) would size
+    5), and the re-check points after the votes of both passes."""
     k, epsilon = 20, 0.45
-    assert reference_gl_sizes(k, epsilon) == (5, 25)
+    assert reference_gl_sizes(k, epsilon) == (2, 3, 5)
     rng = _CountingRandom(45)
     draws_seen = []
 
@@ -450,10 +456,22 @@ def test_gl_draws_only_the_references_its_votes_read():
         return x[3]
 
     got = goldreich_levin_f2(oracle, k, epsilon, rng)
-    assert draws_seen[: k * 25] == [5] * (k * 25)
-    n_check = len(draws_seen) - k * 25
-    assert n_check >= 64 and draws_seen[k * 25 :] == [5 + n_check] * n_check
+    assert draws_seen[: 2 * k * 5] == [3] * (k * 5) + [6] * (k * 5)
+    n_check = len(draws_seen) - 2 * k * 5
+    assert n_check >= 64 and draws_seen[2 * k * 5 :] == [6 + n_check] * n_check
     assert got[0] == tuple(int(i == 3) for i in range(k))
+
+
+@pytest.mark.parametrize("confidence", [0.0, -0.5, 1.0, 1.5, float("nan"), float("inf")])
+def test_gl_decode_rejects_confidence_outside_unit_interval(confidence):
+    """A confidence outside (0, 1), NaN included, is no promise: ValueError
+    before any query or draw (1.5 and NaN once asked 393,980 queries at
+    k = 6, with delta clamped to 1e-9)."""
+    calls = []
+    rng = _CountingRandom(0)
+    with pytest.raises(ValueError, match=r"confidence must lie in \(0, 1\)"):
+        goldreich_levin_f2(calls.append, 6, 0.25, rng, confidence)
+    assert calls == [] and rng.draws == 0
 
 
 @st.composite
@@ -504,11 +522,13 @@ def test_recheck_matches_scalar_reference(inputs):
 @st.composite
 def neighbourhood_inputs(draw):
     """Distinct bases, check points and answers for the neighbour re-check,
-    plus a block size."""
+    plus a block size.  The bases' explicit neighbourhoods of radius 2 are
+    kept to about 2,000 forms, so k = 70 comes with one base."""
     k = draw(st.integers(1, 70))
     n_check = draw(st.integers(1, 60))
     rows = st.integers(0, 2**k - 1).map(lambda x: tuple(x >> i & 1 for i in range(k)))
-    bases = sorted(draw(st.sets(rows, min_size=1, max_size=30)))
+    most = max(1, min(30, 2048 // (1 + k + k * (k - 1) // 2)))
+    bases = sorted(draw(st.sets(rows, min_size=1, max_size=most)))
     points = draw(st.lists(rows, min_size=n_check, max_size=n_check))
     answers = draw(st.lists(st.integers(0, 1), min_size=n_check, max_size=n_check))
     # a threshold 1/2 + epsilon/2 that some count c reaches exactly, or 0
@@ -521,14 +541,16 @@ def neighbourhood_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(neighbourhood_inputs())
 def test_neighbour_scores_match_explicit_neighbours(inputs):
-    """Scoring b + e_i from hits(b) and the product A P equals counting the
-    agreements of every explicitly listed neighbour.
+    """Scoring b + e_i and b + e_i + e_j from hits(b) and the product A F
+    with the pair differences equals counting the agreements of every
+    explicitly listed neighbour within distance 2.
 
     The oracle is asked at each point once, in order; each form of the
     neighbourhoods comes out once, by falling count, ties in lexicographic
     order.  k crosses 64 bits, the thresholds sit at exact counts (or at 0,
     which keeps every form), and the block budget is shrunk so that most
-    examples split the bases over several blocks.
+    examples split the bases over several blocks and the k (k + 1) / 2
+    pair columns over several more.
     """
     k, bases, points, answers, epsilon, block_rows = inputs
     calls = []
@@ -540,8 +562,11 @@ def test_neighbour_scores_match_explicit_neighbours(inputs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hardcore, "_BLOCK_ELEMENTS", block_rows * max(k, len(points)))
-        got = hardcore._ranked_with_neighbours(
-            oracle, points, epsilon, np.array(bases, dtype=np.uint8)
+        got = hardcore._ranked_within_two(
+            oracle,
+            np.array(points, dtype=np.uint8).reshape(len(points), k),
+            epsilon,
+            np.array(bases, dtype=np.uint8),
         )
     assert calls == points
     forms = sorted(reference_gl_neighbourhoods(bases))
@@ -553,12 +578,18 @@ def test_neighbour_scores_match_explicit_neighbours(inputs):
 @st.composite
 def gl_inputs(draw):
     """A planted form, a noisy oracle's salt, and decoder parameters with at
-    most 2^11 guesses."""
+    most 2^11 guesses a pass, whose explicit re-check lists stay near 2^14
+    forms: P 2^t (1 + k + k (k - 1) / 2) <= 2^14 wherever t = 1 allows it,
+    so large k comes with epsilon near 1/2."""
     k = draw(st.integers(1, 80))
     h = tuple(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)))
-    epsilon = draw(st.floats(0.15, 0.5))
-    # t = ceil(log2(k / (4 epsilon^2 delta) + 1)) <= 11
-    delta = draw(st.floats(min(0.5, 1.01 * k / (4 * epsilon * epsilon * 2047)), 0.5))
+    delta = draw(st.floats(0.01, 0.5))
+    passes, _, _ = reference_gl_sizes(1, 0.5, 1 - delta)
+    forms = passes * (1 + k + k * (k - 1) // 2)
+    t_max = min(11, max(1, (2**14 // forms).bit_length() - 1))
+    # N <= 2^t_max - 1 holds once k (1 - 4 eps^2) / (12 eps^2 delta_pass) <= 2^t_max - 2
+    room = 12 * delta ** (1 / passes) * (2**t_max - 2)
+    epsilon = draw(st.floats(min(0.5, max(0.15, 1.001 * math.sqrt(k / (4 * k + room)))), 0.5))
     p_right = draw(st.floats(0.5, 1.0))
     salt = draw(st.integers(0, 2**32))
     block_rows = draw(st.integers(1, 40))
@@ -568,8 +599,8 @@ def gl_inputs(draw):
 @settings(max_examples=20, deadline=None)
 @given(gl_inputs(), st.integers(0, 2**32))
 def test_gl_decode_matches_reference(inputs, seed):
-    """The transform's guesses and the blocked re-check give the old decoder's
-    list, oracle calls and rng draws."""
+    """The transform's guesses and the blocked re-check of radius 2 give the
+    reference decoder's list, oracle calls and rng draws."""
     k, h, epsilon, confidence, p_right, salt, block_rows = inputs
 
     def answer(x):
@@ -892,6 +923,44 @@ def test_trace_invert_past_exhaustive_scale():
     predictor = make_noisy_predictor(make_trace_truth(m0, 2), 0.5, 2, rng)
     assert trace_invert(key, image, predictor, 0.5, rng) == m0
     assert predictor.query_count < gl_order(5, 2) / 100
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_trace_invert_rejects_a_decoy(seed, monkeypatch):
+    """A decoy predictor at q = 2, n = 4 answers M0's trace with probability
+    0.4 and a second invertible M1's trace otherwise.  Both forms clear the
+    decoder's threshold, M1's with the higher agreement (about 0.8 on
+    invertible N against M0's 0.7), so M1 is listed; the evaluate re-check
+    rejects it on the injective key, and M0 comes back."""
+    rng = Random(f"decoy-{seed}")
+    key = injective_key(2, 4, rng)
+    m0 = random_invertible(4, 2, rng)
+    m1 = random_invertible(4, 2, rng)
+    assert m1 != m0
+    image = evaluate(key, m0)
+    truth0, truth1 = make_trace_truth(m0, 2), make_trace_truth(m1, 2)
+    noise = Random(f"decoy-noise-{seed}")
+    predictor = Predictor(
+        lambda ctx: truth0(ctx) if noise.random() < 0.4 else truth1(ctx), 0.2, 2
+    )
+    decoded, checked = [], []
+
+    def recording_decode(*args):
+        decoded.append(decode(*args))
+        return decoded[-1]
+
+    def recording_evaluate(k, m):
+        checked.append(m)
+        return evaluate(k, m)
+
+    decode = hardcore._decode
+    monkeypatch.setattr(hardcore, "_decode", recording_decode)
+    monkeypatch.setattr(hardcore, "evaluate", recording_evaluate)
+    got = trace_invert(key, image, predictor, 0.2, rng)
+    assert got == m0
+    form1 = tuple(x for row in m1 for x in row)
+    assert any(form1 in candidates for candidates in decoded)
+    assert m1 in checked and evaluate(key, m1) != image
 
 
 def test_trace_invert_q3():
